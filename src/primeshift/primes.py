@@ -1,27 +1,33 @@
 """Prime generation, nth-prime lookup, and exact 64-bit primality testing.
 
-Every other module sources its primes here.  ``nth_prime`` is 1-indexed
-(p_1 = 2).  Sieving switches to a segmented strategy above
-``SEGMENTED_THRESHOLD`` so working memory stays bounded by the segment
-size instead of the limit; ``prime_flags`` sieves an arbitrary window
-the same way.
+Every other module sources its primes here, and every prime flag comes
+from one numpy kernel, ``_flags``, which sieves an inclusive window
+lo..hi with the base primes up to sqrt(hi).  Those base primes live in
+one shared table that grows on demand under one lock; ``nth_prime``
+(1-indexed, p_1 = 2) reads the same table.  ``sieve`` walks the kernel
+over fixed ``_SEGMENT``-wide windows, so its working memory follows the
+segment, not the limit; ``prime_flags`` is a single kernel call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
 
 from .errors import BoundsError, DomainError, ResourceError
 
 SIEVE_LIMIT_MAX = 2**40
-SEGMENTED_THRESHOLD = 10**8
-SEGMENT_SIZE = 2**20
 
-# Largest value whose window can be sieved: the base sieve must reach
+# Largest value whose window can be sieved: the base table must reach
 # sqrt of it, so this keeps the base table at or below 10^6.
 WINDOW_VALUE_MAX = 10**12
+
+_SEGMENT = 1 << 20
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Deterministic Miller-Rabin witnesses covering all n < 2^64.
@@ -46,101 +52,70 @@ class PrimeTable:
         return len(self.primes)
 
 
-def sieve_flags(limit: int) -> bytearray:
-    """0/1 primality flags for 0..limit (flags[n] == 1 iff n is prime)."""
-    if limit < 0:
-        raise BoundsError(f"flag sieve limit must be non-negative, got {limit}")
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00" * min(2, limit + 1)
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            step = len(range(p * p, limit + 1, p))
-            flags[p * p :: p] = b"\x00" * step
-    return flags
-
-
-def _segment_flags(lo: int, hi: int, base_primes) -> bytearray:
-    """Flags for the window lo..hi given base primes up to sqrt(hi)."""
-    width = hi - lo + 1
-    flags = bytearray([1]) * width
-    for n in range(lo, min(hi, 1) + 1):
-        flags[n - lo] = 0
-    for p in base_primes:
+def _flags(lo: int, hi: int, base: list[int]) -> np.ndarray:
+    """uint8 flags for lo..hi (1 iff prime); ``base`` holds every prime <= sqrt(hi)."""
+    flags = np.ones(hi - lo + 1, dtype=np.uint8)
+    flags[: max(0, 2 - lo)] = 0
+    for p in base:
         if p * p > hi:
             break
-        start = max(p * p, p * ((max(lo, 2) + p - 1) // p))
-        if start > hi:
-            continue
-        count = (hi - start) // p + 1
-        flags[start - lo :: p] = b"\x00" * count
+        start = max(p * p, -(-lo // p) * p)
+        flags[start - lo :: p] = 0
     return flags
 
 
-_base_lock = threading.Lock()
-_base_primes: PrimeTable | None = None
+def _primes_in(lo: int, hi: int, base: list[int]) -> Iterator[int]:
+    """The primes in lo..hi, ascending, sieved _SEGMENT numbers at a time."""
+    step = _SEGMENT
+    return itertools.chain.from_iterable(
+        (start + np.flatnonzero(_flags(start, min(start + step - 1, hi), base))).tolist()
+        for start in range(lo, hi + 1, step)
+    )
 
 
-def _window_base(root: int) -> tuple[int, ...]:
-    global _base_primes
-    table = _base_primes
-    if table is None or table.limit < root:
-        with _base_lock:
-            if _base_primes is None or _base_primes.limit < root:
-                _base_primes = sieve(max(2 * root, 1000))
-            table = _base_primes
-    return table.primes
+# The shared base table, published as one (limit, primes) pair: every
+# prime <= limit, ascending.  Growth is guarded by the lock and builds a
+# new list; readers use whichever pair they loaded without locking.
+_lock = threading.Lock()
+_table: tuple[int, list[int]] = (2, [2])
 
 
-def prime_flags(lo: int, hi: int) -> bytearray:
+def _base_primes(n: int) -> list[int]:
+    """The shared table, grown to hold every prime <= n (it may hold more)."""
+    global _table
+    limit, primes = _table
+    if limit < n:
+        with _lock:
+            limit, primes = _table
+            while limit < n:
+                # Squaring at most keeps sqrt(top) inside the current table.
+                top = min(max(n, 2 * limit), limit * limit)
+                primes = [*primes, *_primes_in(limit + 1, top, primes)]
+                limit = top
+            _table = (limit, primes)
+    return primes
+
+
+def prime_flags(lo: int, hi: int) -> np.ndarray:
     """Primality flags for the inclusive window lo..hi.
 
-    Entries for n < 2 are 0, so negative windows are valid.  Requires
-    hi <= WINDOW_VALUE_MAX (the base sieve must reach sqrt(hi)).
+    Returns a fresh ``np.uint8`` array (1 iff prime), read-only by
+    convention.  Entries for n < 2 are 0, so negative windows are valid.
+    Requires hi <= WINDOW_VALUE_MAX (the base table must reach sqrt(hi)).
     """
     if lo > hi:
         raise DomainError(f"empty window: lo={lo} > hi={hi}")
     if hi > WINDOW_VALUE_MAX:
         raise ResourceError(f"window upper end {hi} exceeds {WINDOW_VALUE_MAX}")
-    if hi < 2:
-        return bytearray(hi - lo + 1)
-    if lo < 2:
-        return bytearray(2 - lo) + prime_flags(2, hi)
-    return _segment_flags(lo, hi, _window_base(max(2, math.isqrt(hi))))
+    return _flags(lo, hi, _base_primes(math.isqrt(max(hi, 0))))
 
 
-def sieve(limit: int, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
-    """Enumerate all primes in [2, limit].
-
-    Plain byte sieve up to SEGMENTED_THRESHOLD, segmented above it.
-    """
+def sieve(limit: int) -> PrimeTable:
+    """Enumerate all primes in [2, limit], one segment at a time."""
     if limit < 2 or limit > SIEVE_LIMIT_MAX:
         raise BoundsError(f"sieve limit must be in [2, 2^40], got {limit}")
-    if limit <= SEGMENTED_THRESHOLD:
-        flags = sieve_flags(limit)
-        return PrimeTable(limit, tuple(i for i in range(2, limit + 1) if flags[i]))
-    return _sieve_segmented(limit, segment_size)
-
-
-def _sieve_segmented(limit: int, segment_size: int) -> PrimeTable:
-    if segment_size < 2:
-        raise BoundsError(f"segment size must be >= 2, got {segment_size}")
-    root = math.isqrt(limit)
-    base_flags = sieve_flags(root)
-    base = [i for i in range(2, root + 1) if base_flags[i]]
-    primes: list[int] = list(base)
-    lo = root + 1
-    while lo <= limit:
-        hi = min(lo + segment_size - 1, limit)
-        flags = _segment_flags(lo, hi, base)
-        primes.extend(n for n in range(lo, hi + 1) if flags[n - lo])
-        lo = hi + 1
-    return PrimeTable(limit, tuple(primes))
-
-
-# nth_prime keeps a shared table that grows on demand; growth is
-# guarded by a lock, reads of a published table are safe without one.
-_nth_lock = threading.Lock()
-_nth_table: PrimeTable | None = None
+    base = _base_primes(math.isqrt(limit))
+    return PrimeTable(limit, tuple(_primes_in(2, limit, base)))
 
 
 def _nth_upper_bound(i: int) -> int:
@@ -155,16 +130,10 @@ def nth_prime(i: int) -> int:
     """The i-th prime, 1-indexed (nth_prime(1) == 2)."""
     if i < 1:
         raise DomainError(f"prime index must be >= 1, got {i}")
-    global _nth_table
-    table = _nth_table
-    if table is None or i > table.count:
-        with _nth_lock:
-            table = _nth_table
-            if table is None or i > table.count:
-                old_limit = table.limit if table is not None else 0
-                table = sieve(max(_nth_upper_bound(i), 2 * old_limit, 1000))
-                _nth_table = table
-    return table.primes[i - 1]
+    primes = _table[1]
+    if i > len(primes):
+        primes = _base_primes(_nth_upper_bound(i))
+    return primes[i - 1]
 
 
 def _is_prime_unchecked(n: int) -> bool:

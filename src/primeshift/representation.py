@@ -100,16 +100,13 @@ def _chunk_counts(elements: tuple[int, ...], c_lo: int, c_hi: int) -> np.ndarray
     if c_hi - a_min <= WINDOW_VALUE_MAX:
         if a_max - a_min <= _SPREAD_MAX:
             w_lo = c_lo - a_max
-            flags = np.frombuffer(prime_flags(w_lo, c_hi - a_min), dtype=np.uint8)
+            flags = prime_flags(w_lo, c_hi - a_min)
             for a in elements:
                 off = (c_lo - a) - w_lo
                 counts += flags[off : off + width]
         else:
             for a in elements:
-                flags = np.frombuffer(
-                    prime_flags(c_lo - a, c_hi - a), dtype=np.uint8
-                )
-                counts += flags
+                counts += prime_flags(c_lo - a, c_hi - a)
     else:
         for i in range(width):
             n = c_lo + i
@@ -175,7 +172,7 @@ def romanoff_counts(limit: int, k_min: int = 1) -> tuple[int, int]:
         raise DomainError(f"limit must be >= 3, got {limit}")
     if limit > RANGE_WIDTH_MAX:
         raise ResourceError(f"limit {limit} exceeds {RANGE_WIDTH_MAX}")
-    flags = np.frombuffer(prime_flags(0, limit), dtype=np.uint8) != 0
+    flags = prime_flags(0, limit) != 0
     reachable = np.zeros(limit + 1, dtype=bool)
     k = k_min
     while (1 << k) <= limit - 2:

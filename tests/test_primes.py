@@ -1,13 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeshift import BoundsError, DomainError, is_prime, nth_prime, prime_flags, sieve
-from primeshift.primes import _sieve_segmented
+from primeshift import primes as primes_mod
 
 from support import byte_sieve, trial_division_is_prime, trial_division_primes
 
@@ -48,10 +49,33 @@ def test_sieve_bounds_errors():
         sieve(2**40 + 1)
 
 
-def test_segmented_sieve_matches_plain():
-    plain = sieve(10**5)
-    for seg in (64, 4096, 10**5 + 50):
-        assert _sieve_segmented(10**5, seg).primes == plain.primes
+@pytest.mark.parametrize("segment", [2, 3, 64, 97])
+def test_tiny_segments_match_oracles(segment, monkeypatch):
+    # A tiny segment and an empty shared table force many segment edges
+    # in sieve() and in every growth of the table.
+    monkeypatch.setattr(primes_mod, "_SEGMENT", segment)
+    monkeypatch.setattr(primes_mod, "_table", (2, [2]))
+    limit = 3000
+    oracle = trial_division_primes(limit)
+    flags = byte_sieve(limit)
+    for i, p in enumerate(oracle[:60], start=1):
+        assert nth_prime(i) == p == sympy.prime(i)
+    assert type(nth_prime(60)) is int
+    for top in (2, 3, 4, segment, segment + 1, 2 * segment + 1, 1000, limit):
+        table = sieve(top)
+        assert list(table.primes) == [p for p in oracle if p <= top]
+        assert all(type(p) is int for p in table.primes)
+    edges = [segment * k + d for k in (0, 1, 7) for d in (-1, 0, 1)]
+    windows = [(-5, 0), (-3, 1), (-2, 2), (0, 2), (1, 2), (2, 2), (-7, 40)]
+    windows += [(e, e + segment) for e in edges if e >= 0]
+    windows += [(500, 2999), (2000, limit)]
+    for lo, hi in windows:
+        expected = bytes(max(0, min(hi, -1) - lo + 1)) + bytes(flags[max(lo, 0) : hi + 1])
+        got = prime_flags(lo, hi)
+        assert bytes(got) == expected, (lo, hi)
+        assert [lo + i for i in np.flatnonzero(got).tolist()] == list(
+            sympy.primerange(lo, hi + 1)
+        )
 
 
 def test_nth_prime_basics():
