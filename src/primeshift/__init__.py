@@ -20,7 +20,6 @@ from .bounds import (
     final_inequality_check,
     guarantee,
     maynard_m,
-    maynard_m_alt,
     prime_reciprocal_product,
     theorem1_bound,
     verify_mertens,
@@ -73,7 +72,6 @@ __all__ = [
     "guarantee",
     "is_prime",
     "maynard_m",
-    "maynard_m_alt",
     "nth_prime",
     "prime_flags",
     "prime_reciprocal_product",

@@ -78,26 +78,6 @@ def maynard_m(k: int) -> int:
         return m
 
 
-def maynard_m_alt(k: int, c: float) -> int:
-    """Largest m >= 0 with k strictly above c * m^2 * e^(4m).
-
-    A steeper threshold profile parameterized by a user-supplied
-    constant; exposed for experimentation only.  ``guarantee`` never
-    calls it and no default value of c is endorsed.
-    """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if c <= 0:
-        raise DomainError(f"c must be positive, got {c}")
-    with mpmath.workdps(_MP_DPS):
-        kk = mpmath.mpf(k)
-        cc = mpmath.mpf(c)
-        m = 0
-        while kk > cc * (m + 1) ** 2 * mpmath.exp(4 * (m + 1)):
-            m += 1
-        return m
-
-
 def theorem1_bound(ell: int) -> float:
     """Baseline lower bound (1/8) ln(ell) - 1.6 for the guaranteed count."""
     if ell < 1:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -33,7 +33,6 @@ from .prune import greedy_prune
 from .representation import gen_sequence, rep_search, romanoff_counts
 
 JSON_VERSION = 1
-THREADS_ENV_VAR = "PRIMESHIFT_THREADS"
 
 _JSON_INT_LIMIT = 2**53
 _CSV_COMMANDS = ("repsearch", "gen")
@@ -45,7 +44,6 @@ class RunConfig:
     input_path: str | None
     params: dict[str, Any]
     output_format: str = "json"
-    thread_count: int = 1
 
 
 def parse_input_set(path: str) -> IntegerSet:
@@ -164,6 +162,8 @@ def _run_bound(config: RunConfig):
     x = config.params.get("x")
     if ell is None and x is None:
         raise ParseError("bound needs --ell and/or --x")
+    if x is not None and not math.isfinite(x):
+        raise ParseError(f"--x must be finite, got {x}")
     result: dict[str, Any] = {"theorem1": None, "corollary": None}
     lines = []
     if ell is not None:
@@ -300,8 +300,6 @@ def dispatch(config: RunConfig) -> tuple[int, str]:
             raise ParseError(f"unknown format {config.output_format!r}")
         if config.output_format == "csv" and config.subcommand not in _CSV_COMMANDS:
             raise ParseError(f"csv output is not defined for {config.subcommand!r}")
-        if config.thread_count < 1:
-            raise ParseError(f"thread count must be >= 1, got {config.thread_count}")
         runner = _RUNNERS.get(config.subcommand)
         if runner is None:
             raise ParseError(f"unknown subcommand {config.subcommand!r}")
@@ -317,27 +315,11 @@ def dispatch(config: RunConfig) -> tuple[int, str]:
             "input_summary": _jsonable(summary),
             "result": _jsonable(result),
         }
-        return code, json.dumps(envelope, indent=2, sort_keys=True)
+        return code, json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
     except PrimeShiftError as exc:
         return 2, f"error: {exc}"
     except OSError as exc:
         return 2, f"error: {exc}"
-
-
-def resolve_thread_count(flag_value: int | None) -> int:
-    """Flag default is machine parallelism; the env var wins for CI."""
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ParseError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
-        if value < 1:
-            raise ParseError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
-        return value
-    if flag_value is not None:
-        return flag_value
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "text", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("check", help="admissibility certificate for a set file")
     p.add_argument("input")
@@ -418,7 +399,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         input_path=input_path,
         params=params,
         output_format=args.format,
-        thread_count=resolve_thread_count(args.threads),
     )
 
 

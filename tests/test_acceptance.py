@@ -247,15 +247,15 @@ def test_c10_cli_determinism(tmp_path):
         set_path = tmp_path / "set.txt"
         set_path.write_text("\n".join(str(v) for v in range(0, 400, 3)) + "\n")
         configs = [
-            RunConfig("check", str(set_path), {}, "json", 2),
-            RunConfig("prune", str(set_path), {}, "json", 2),
-            RunConfig("guarantee", str(set_path), {}, "json", 2),
-            RunConfig("bound", None, {"ell": 200000, "x": 10**6}, "json", 2),
-            RunConfig("verify-lemmas", None, {"mertens_limit": 10**6}, "json", 2),
-            RunConfig("repsearch", str(set_path), {"n_lo": 2, "n_hi": 2000, "top_k": 5}, "json", 2),
-            RunConfig("romanoff", None, {"limit": 10**5, "k_min": 1}, "json", 2),
-            RunConfig("gen", None, {"kind": "powers_of_two", "count": 62, "ratio": 2, "out": None}, "json", 2),
-            RunConfig("primes", None, {"limit": 10**5}, "json", 2),
+            RunConfig("check", str(set_path), {}, "json"),
+            RunConfig("prune", str(set_path), {}, "json"),
+            RunConfig("guarantee", str(set_path), {}, "json"),
+            RunConfig("bound", None, {"ell": 200000, "x": 10**6}, "json"),
+            RunConfig("verify-lemmas", None, {"mertens_limit": 10**6}, "json"),
+            RunConfig("repsearch", str(set_path), {"n_lo": 2, "n_hi": 2000, "top_k": 5}, "json"),
+            RunConfig("romanoff", None, {"limit": 10**5, "k_min": 1}, "json"),
+            RunConfig("gen", None, {"kind": "powers_of_two", "count": 62, "ratio": 2, "out": None}, "json"),
+            RunConfig("primes", None, {"limit": 10**5}, "json"),
         ]
         for config in configs:
             code_a, report_a = dispatch(config)

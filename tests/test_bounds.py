@@ -14,7 +14,6 @@ from primeshift import (
     final_inequality_check,
     guarantee,
     maynard_m,
-    maynard_m_alt,
     prime_reciprocal_product,
     theorem1_bound,
     verify_mertens,
@@ -71,21 +70,6 @@ class TestMaynardM:
     @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=0, max_value=10**6))
     def test_monotone(self, k, delta):
         assert maynard_m(k + delta) >= maynard_m(k)
-
-
-class TestAlternateProfile:
-    def test_basics(self):
-        assert maynard_m_alt(1, 1.0) == 0
-        assert maynard_m_alt(54, 1.0) == 0  # 1 * e^4 = 54.598...
-        assert maynard_m_alt(55, 1.0) == 1
-        with pytest.raises(DomainError):
-            maynard_m_alt(0, 1.0)
-        with pytest.raises(DomainError):
-            maynard_m_alt(10, 0.0)
-
-    def test_monotone_in_k(self):
-        values = [maynard_m_alt(k, 2.5) for k in (1, 10**3, 10**6, 10**9)]
-        assert values == sorted(values)
 
 
 class TestClosedFormBounds:

@@ -18,7 +18,6 @@ from primeshift.cli import (
     dispatch,
     main,
     parse_input_set,
-    resolve_thread_count,
 )
 
 
@@ -34,7 +33,6 @@ def run(subcommand, input_path=None, fmt="json", **params):
         input_path=input_path,
         params=params,
         output_format=fmt,
-        thread_count=2,
     )
     return dispatch(config)
 
@@ -125,6 +123,13 @@ class TestDispatch:
         assert code == 2
         assert "error" in report
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_bound_rejects_non_finite_x(self, x, capsys):
+        assert main(["bound", f"--x={x}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_verify_lemmas(self):
         code, report = run("verify-lemmas", mertens_limit=10**4)
         assert code == 0
@@ -211,36 +216,14 @@ class TestDispatch:
         assert json.loads(report)["result"]["satisfied"] is False
 
 
-class TestThreadResolution:
-    def test_env_overrides_flag(self, monkeypatch):
-        monkeypatch.setenv("PRIMESHIFT_THREADS", "3")
-        assert resolve_thread_count(None) == 3
-        assert resolve_thread_count(8) == 3
-
-    def test_flag_used_without_env(self, monkeypatch):
-        monkeypatch.delenv("PRIMESHIFT_THREADS", raising=False)
-        assert resolve_thread_count(5) == 5
-        assert resolve_thread_count(None) >= 1
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("PRIMESHIFT_THREADS", "many")
-        with pytest.raises(ParseError):
-            resolve_thread_count(None)
-        monkeypatch.setenv("PRIMESHIFT_THREADS", "0")
-        with pytest.raises(ParseError):
-            resolve_thread_count(None)
-
-
 class TestMain:
-    def test_main_check(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("PRIMESHIFT_THREADS", raising=False)
+    def test_main_check(self, tmp_path, capsys):
         path = write_set(tmp_path, "s.txt", "0\n2\n")
         assert main(["check", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["verdict"] == "admissible"
 
-    def test_main_reports_usage_errors_on_stderr(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("PRIMESHIFT_THREADS", raising=False)
+    def test_main_reports_usage_errors_on_stderr(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "none.txt")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
