@@ -23,50 +23,45 @@ from primeshift.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 EXT = {"json": "json", "text": "txt", "csv": "csv"}
 
-# name -> (argv without --format, formats, exit code)
+# name -> (argv without --format, formats); every case exits 0
 CASES = {
-    "check_admissible": (["check", "inputs/small.txt"], ("json", "text"), 0),
-    "check_covered": (["check", "inputs/range.txt"], ("json", "text"), 0),
-    "prune": (["prune", "inputs/range.txt"], ("json", "text"), 0),
-    "guarantee": (["guarantee", "inputs/range.txt"], ("json", "text"), 0),
-    "bound": (["bound", "--ell", "200000", "--x", "1e6"], ("json", "text"), 0),
-    "bound_x": (["bound", "--x", "20"], ("json", "text"), 0),
-    "verify_lemmas": (["verify-lemmas", "--mertens-limit", "10000"], ("json", "text"), 0),
+    "check_admissible": (["check", "inputs/small.txt"], ("json", "text")),
+    "check_covered": (["check", "inputs/range.txt"], ("json", "text")),
+    "prune": (["prune", "inputs/range.txt"], ("json", "text")),
+    "guarantee": (["guarantee", "inputs/range.txt"], ("json", "text")),
+    "bound": (["bound", "--ell", "200000", "--x", "1e6"], ("json", "text")),
+    "bound_x": (["bound", "--x", "20"], ("json", "text")),
+    "verify_lemmas": (["verify-lemmas", "--mertens-limit", "10000"], ("json", "text")),
     "repsearch_shared": (
         ["repsearch", "inputs/small.txt", "--from", "2", "--to", "300", "--top", "5"],
         ("json", "text", "csv"),
-        0,
     ),
     "repsearch_spread": (
         ["repsearch", "inputs/spread.txt", "--from", "100000000", "--to", "100001000", "--top", "4"],
         ("json", "text", "csv"),
-        0,
     ),
     "repsearch_negative": (
         ["repsearch", "inputs/offset.txt", "--from", "-100", "--to", "600", "--top", "3"],
         ("json", "text", "csv"),
-        0,
     ),
     "repsearch_far": (
         ["repsearch", "inputs/small.txt", "--from", "999999999960", "--to", "1000000000040", "--top", "3"],
         ("json", "text", "csv"),
-        0,
     ),
     "repsearch_sparse": (
         ["repsearch", "inputs/small.txt", "--from", "0", "--to", "1100000", "--top", "5"],
         ("json", "text"),
-        0,
     ),
-    "romanoff": (["romanoff", "--limit", "10000"], ("json", "text"), 0),
-    "romanoff_k0": (["romanoff", "--limit", "1000", "--k-min", "0"], ("json", "text"), 0),
-    "gen_powers": (["gen", "--kind", "powers_of_two", "--count", "62"], ("json", "text", "csv"), 0),
-    "gen_chain": (["gen", "--kind", "divisor_chain", "--count", "5", "--ratio", "3"], ("json", "csv"), 0),
-    "gen_two_pow_prime": (["gen", "--kind", "two_pow_prime", "--count", "18"], ("json", "text", "csv"), 0),
-    "primes": (["primes", "--limit", "547"], ("json", "text"), 0),
-    "primes_segments": (["primes", "--limit", "2500000"], ("json", "text"), 0),
+    "romanoff": (["romanoff", "--limit", "10000"], ("json", "text")),
+    "romanoff_k0": (["romanoff", "--limit", "1000", "--k-min", "0"], ("json", "text")),
+    "gen_powers": (["gen", "--kind", "powers_of_two", "--count", "62"], ("json", "text", "csv")),
+    "gen_chain": (["gen", "--kind", "divisor_chain", "--count", "5", "--ratio", "3"], ("json", "csv")),
+    "gen_two_pow_prime": (["gen", "--kind", "two_pow_prime", "--count", "18"], ("json", "text", "csv")),
+    "primes": (["primes", "--limit", "547"], ("json", "text")),
+    "primes_segments": (["primes", "--limit", "2500000"], ("json", "text")),
 }
 
-PARAMS = [(name, fmt) for name, (_, formats, _) in CASES.items() for fmt in formats]
+PARAMS = [(name, fmt) for name, (_, formats) in CASES.items() for fmt in formats]
 
 
 def golden_path(name: str, fmt: str) -> Path:
@@ -85,7 +80,7 @@ def stdout_of(name: str, fmt: str) -> tuple[int, bytes]:
 def test_stdout_matches_golden_bytes(name, fmt, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     code, out = stdout_of(name, fmt)
-    assert code == CASES[name][2]
+    assert code == 0
     assert out == golden_path(name, fmt).read_bytes()
 
 
@@ -93,6 +88,6 @@ if __name__ == "__main__":
     os.chdir(GOLDEN)
     for name, fmt in PARAMS:
         code, out = stdout_of(name, fmt)
-        assert code == CASES[name][2], (name, fmt, code)
+        assert code == 0, (name, fmt, code)
         golden_path(name, fmt).write_bytes(out)
         print(f"wrote {golden_path(name, fmt).name}")
