@@ -224,7 +224,9 @@ def _run_repsearch(config: RunConfig):
         f"max count {profile.max_count}"
     ]
     text += [f"  n={n} count={c}" for n, c in profile.records]
-    csv_rows = "\n".join(f"{n},{c}" for n, c in profile.nonzero_items())
+    csv_rows = None
+    if config.output_format == "csv":
+        csv_rows = "\n".join(f"{n},{c}" for n, c in profile.nonzero_items())
     return result, summary, 0, "\n".join(text), csv_rows
 
 

@@ -2,15 +2,18 @@
 
 Every other module sources its primes here, and every prime flag comes
 from one numpy kernel, ``_flags``, which sieves an inclusive window
-lo..hi with the base primes up to sqrt(hi).  Those base primes live in
+lo..hi with the base primes it is given.  Those base primes live in
 one shared table that grows on demand under one lock; ``nth_prime``
-(1-indexed, p_1 = 2) reads the same table.  ``sieve`` walks the kernel
-over fixed ``_SEGMENT``-wide windows, so its working memory follows the
-segment, not the limit; ``prime_flags`` is a single kernel call.
+(1-indexed, p_1 = 2) reads the same table, and ``prime_flags`` never
+needs it past sqrt(WINDOW_VALUE_MAX).  ``sieve`` and ``prime_flags``
+both walk the kernel over ``_SEGMENT``-wide pieces, so the strided
+clears stay in cache and ``sieve``'s working memory follows the
+segment, not the limit.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import threading
@@ -19,12 +22,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BoundsError, DomainError, ResourceError
+from .errors import BoundsError, DomainError
 
 SIEVE_LIMIT_MAX = 2**40
 
-# Largest value whose window can be sieved: the base table must reach
-# sqrt of it, so this keeps the base table at or below 10^6.
+# Largest value that prime_flags sieves exactly, with the base primes up
+# to its square root (10^6).  Above it, prime_flags sieves with base
+# primes up to 10^6 at most and confirms each survivor with is_prime.
 WINDOW_VALUE_MAX = 10**12
 
 _SEGMENT = 1 << 20
@@ -97,17 +101,53 @@ def _base_primes(n: int) -> list[int]:
 
 
 def prime_flags(lo: int, hi: int) -> np.ndarray:
-    """Primality flags for the inclusive window lo..hi.
+    """Primality flags for the inclusive window lo..hi, exact for any int64 window.
 
     Returns a fresh ``np.uint8`` array (1 iff prime), read-only by
     convention.  Entries for n < 2 are 0, so negative windows are valid.
-    Requires hi <= WINDOW_VALUE_MAX (the base table must reach sqrt(hi)).
+    The window is sieved one ``_SEGMENT`` at a time, split also at
+    ``WINDOW_VALUE_MAX``.  Up to that value each piece is sieved exactly
+    with the base primes up to its square root.  Above it a piece is
+    sieved with the base primes up to min(its width, sqrt(WINDOW_VALUE_MAX)),
+    which clears only composites, and each survivor is confirmed by
+    ``is_prime`` (deterministic Miller-Rabin, exact below 2^64).
     """
     if lo > hi:
         raise DomainError(f"empty window: lo={lo} > hi={hi}")
-    if hi > WINDOW_VALUE_MAX:
-        raise ResourceError(f"window upper end {hi} exceeds {WINDOW_VALUE_MAX}")
-    return _flags(lo, hi, _base_primes(math.isqrt(max(hi, 0))))
+    if hi >= 2**63:
+        raise DomainError(f"window upper end {hi} exceeds the 64-bit range")
+    end = _piece_end(lo, hi)
+    if end == hi:
+        return _piece(lo, hi)
+    flags = np.empty(hi - lo + 1, dtype=np.uint8)
+    start = lo
+    while start <= hi:
+        flags[start - lo : end - lo + 1] = _piece(start, end)
+        start = end + 1
+        end = _piece_end(start, hi)
+    return flags
+
+
+def _piece_end(start: int, hi: int) -> int:
+    """Last value of the piece that starts at ``start``: one segment, cut at WINDOW_VALUE_MAX."""
+    end = min(start + _SEGMENT - 1, hi)
+    return min(end, WINDOW_VALUE_MAX) if start <= WINDOW_VALUE_MAX else end
+
+
+def _piece(lo: int, hi: int) -> np.ndarray:
+    """Exact flags for lo..hi, which lies on one side of WINDOW_VALUE_MAX."""
+    if hi <= WINDOW_VALUE_MAX:
+        return _flags(lo, hi, _base_primes(math.isqrt(max(hi, 0))))
+    # Every base prime p has p^2 <= WINDOW_VALUE_MAX < lo, so the kernel
+    # clears only multiples of p, never a prime; a survivor may still be
+    # a composite with no factor <= bound.
+    bound = min(hi - lo + 1, math.isqrt(WINDOW_VALUE_MAX))
+    base = _base_primes(bound)
+    flags = _flags(lo, hi, base[: bisect.bisect_right(base, bound)])
+    for i in np.flatnonzero(flags).tolist():
+        if not is_prime(lo + i):
+            flags[i] = 0
+    return flags
 
 
 def sieve(limit: int) -> PrimeTable:

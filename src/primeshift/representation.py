@@ -1,11 +1,13 @@
 """Shifted-prime representation counts and desk-scale range searches.
 
 The count for n against a set A is the number of a in A with n - a
-prime.  ``rep_search`` evaluates it for every n in a range by sieving a
-prime window and adding shifted slices, one per element; ranges are
-processed in chunks so memory follows the chunk size, not the range.
-Windows that cannot be sieved (values past ``WINDOW_VALUE_MAX``) fall
-back to per-query deterministic primality tests with identical results.
+prime.  ``rep_search`` evaluates it for every n in a range by adding
+shifted slices of prime flags, one per element: from one shared window
+when the elements are close together, else from one window per element.
+Ranges are processed in chunks, and each chunk keeps only its nonzero
+counts, so memory follows the chunk size and the represented n, not the
+range.  ``prime_flags`` is exact for every 64-bit window, so no path
+tests values one at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .admissible import INT64_MAX, INT64_MIN, IntegerSet
 from .errors import DomainError, ResourceError
-from .primes import WINDOW_VALUE_MAX, is_prime, nth_prime, prime_flags
+from .primes import is_prime, nth_prime, prime_flags
 
 RANGE_WIDTH_MAX = 10**9
 DENSE_WIDTH_MAX = 10**6
@@ -29,51 +31,50 @@ _CHUNK = 1 << 22
 _SPREAD_MAX = 1 << 26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepresentationProfile:
     """Counts over [n_lo, n_hi] plus the top records.
 
-    Storage is dense (one slot per n) up to DENSE_WIDTH_MAX and sparse
-    (only n with a nonzero count) above it.  Records hold the true
-    top-k pairs (n, count), count descending, ties to the smaller n.
+    ``offsets`` holds n - n_lo for every n with a nonzero count,
+    ascending, and ``nonzero_counts`` their counts; both are read-only
+    int64 arrays.  Offsets rather than n keep every entry inside int64
+    even where n itself is not.  ``dense`` only reports whether the
+    range is at most DENSE_WIDTH_MAX wide.  Records hold the true top-k
+    pairs (n, count), count descending, ties to the smaller n.
     """
 
     int_set: IntegerSet
     n_lo: int
     n_hi: int
-    dense: bool
-    counts: dict[int, int] | None
-    dense_counts: tuple[int, ...] | None
+    offsets: np.ndarray
+    nonzero_counts: np.ndarray
     records: tuple[tuple[int, int], ...]
+
+    @property
+    def dense(self) -> bool:
+        return self.n_hi - self.n_lo + 1 <= DENSE_WIDTH_MAX
 
     def count_at(self, n: int) -> int:
         if not self.n_lo <= n <= self.n_hi:
             raise DomainError(f"{n} outside profile range [{self.n_lo}, {self.n_hi}]")
-        if self.dense:
-            return self.dense_counts[n - self.n_lo]
-        return self.counts.get(n, 0)
+        i = int(np.searchsorted(self.offsets, n - self.n_lo))
+        if i < self.offsets.size and self.offsets[i] == n - self.n_lo:
+            return int(self.nonzero_counts[i])
+        return 0
 
     def nonzero_items(self) -> Iterator[tuple[int, int]]:
         """(n, count) pairs with count >= 1, ascending n."""
-        if self.dense:
-            for i, c in enumerate(self.dense_counts):
-                if c:
-                    yield self.n_lo + i, c
-        else:
-            for n in sorted(self.counts):
-                yield n, self.counts[n]
+        n_lo = self.n_lo
+        pairs = zip(self.offsets.tolist(), self.nonzero_counts.tolist())
+        return ((n_lo + i, c) for i, c in pairs)
 
     @property
     def represented_count(self) -> int:
-        if self.dense:
-            return sum(1 for c in self.dense_counts if c)
-        return len(self.counts)
+        return int(self.offsets.size)
 
     @property
     def total_representations(self) -> int:
-        if self.dense:
-            return sum(self.dense_counts)
-        return sum(self.counts.values())
+        return int(self.nonzero_counts.sum())
 
     @property
     def max_count(self) -> int:
@@ -97,23 +98,22 @@ def _chunk_counts(elements: tuple[int, ...], c_lo: int, c_hi: int) -> np.ndarray
     width = c_hi - c_lo + 1
     counts = np.zeros(width, dtype=np.int64)
     a_min, a_max = elements[0], elements[-1]
-    if c_hi - a_min <= WINDOW_VALUE_MAX:
-        if a_max - a_min <= _SPREAD_MAX:
-            w_lo = c_lo - a_max
-            flags = prime_flags(w_lo, c_hi - a_min)
-            for a in elements:
-                off = (c_lo - a) - w_lo
-                counts += flags[off : off + width]
-        else:
-            for a in elements:
-                counts += prime_flags(c_lo - a, c_hi - a)
+    if a_max - a_min <= _SPREAD_MAX:
+        w_lo = c_lo - a_max
+        flags = prime_flags(w_lo, c_hi - a_min)
+        for a in elements:
+            off = (c_lo - a) - w_lo
+            counts += flags[off : off + width]
     else:
-        for i in range(width):
-            n = c_lo + i
-            counts[i] = sum(
-                1 for a in elements if n - a >= 2 and is_prime(n - a)
-            )
+        for a in elements:
+            counts += prime_flags(c_lo - a, c_hi - a)
     return counts
+
+
+def _frozen(parts: list[np.ndarray]) -> np.ndarray:
+    merged = np.concatenate(parts)
+    merged.setflags(write=False)
+    return merged
 
 
 def rep_search(
@@ -131,33 +131,29 @@ def rep_search(
     if n_lo - elements[-1] < INT64_MIN or n_hi - elements[0] > INT64_MAX:
         raise DomainError("n - a leaves the 64-bit range on this search range")
 
-    dense = width <= DENSE_WIDTH_MAX
-    dense_parts: list[np.ndarray] = []
-    sparse: dict[int, int] = {}
+    offsets: list[np.ndarray] = []
+    nonzero: list[np.ndarray] = []
     candidates: list[tuple[int, int]] = []  # (count, n) chunk winners
 
     for c_lo in range(n_lo, n_hi + 1, _CHUNK):
         c_hi = min(c_lo + _CHUNK - 1, n_hi)
         counts = _chunk_counts(elements, c_lo, c_hi)
         # Any global record is a record within its chunk, so per-chunk
-        # winners are enough to merge exactly.
-        order = np.lexsort((np.arange(counts.size), -counts))[:top_k]
+        # winners are enough to merge exactly; a winner's count is at
+        # least the chunk's k-th largest.
+        k = min(top_k, counts.size)
+        top = np.flatnonzero(counts >= np.partition(counts, -k)[-k])
+        order = top[np.argsort(-counts[top], kind="stable")][:top_k]
         candidates.extend((int(counts[i]), c_lo + int(i)) for i in order)
-        if dense:
-            dense_parts.append(counts)
-        else:
-            nz = np.flatnonzero(counts)
-            for i in nz:
-                sparse[c_lo + int(i)] = int(counts[i])
+        nz = np.flatnonzero(counts)
+        offsets.append(nz + (c_lo - n_lo))
+        nonzero.append(counts[nz])
 
     candidates.sort(key=lambda t: (-t[0], t[1]))
     records = tuple((n, c) for c, n in candidates[:top_k])
-    if dense:
-        merged = np.concatenate(dense_parts) if dense_parts else np.zeros(0, np.int64)
-        return RepresentationProfile(
-            int_set, n_lo, n_hi, True, None, tuple(int(c) for c in merged), records
-        )
-    return RepresentationProfile(int_set, n_lo, n_hi, False, sparse, None, records)
+    return RepresentationProfile(
+        int_set, n_lo, n_hi, _frozen(offsets), _frozen(nonzero), records
+    )
 
 
 def romanoff_counts(limit: int, k_min: int = 1) -> tuple[int, int]:

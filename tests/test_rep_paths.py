@@ -1,0 +1,107 @@
+"""Differential tests that drive rep_search and prime_flags down every path.
+
+Shrinking the chunk, spread, dense, segment and sieve-cut constants lets
+small generated sets and ranges reach the shared window, per-element
+windows, chunk edges, segment edges and windows that straddle the cut
+between exact sieving and Miller-Rabin confirmation.  Each result is
+checked against rep_count, is_prime and the tests/support.py oracles.
+"""
+
+import contextlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from primeshift import DomainError, IntegerSet, is_prime, prime_flags, rep_count, rep_search
+from primeshift import primes as primes_mod
+from primeshift import representation
+
+from support import brute_rep_count, byte_sieve
+
+FLAGS = byte_sieve(2000)
+SPREAD_MAX = 40
+DENSE_MAX = 50
+# Above the cut only primes <= sqrt(400) = 20 sieve, so composites such
+# as 23 * 29 survive and must be rejected by is_prime.
+CUT = 400
+
+
+@contextlib.contextmanager
+def small_paths():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(representation, "_CHUNK", 37)
+        mp.setattr(representation, "_SPREAD_MAX", SPREAD_MAX)
+        mp.setattr(representation, "DENSE_WIDTH_MAX", DENSE_MAX)
+        mp.setattr(primes_mod, "_SEGMENT", 29)
+        mp.setattr(primes_mod, "WINDOW_VALUE_MAX", CUT)
+        yield
+
+
+def oracle_flags(lo: int, hi: int) -> bytes:
+    return bytes(n >= 0 and FLAGS[n] for n in range(lo, hi + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=-60, max_value=1400), st.integers(min_value=0, max_value=200))
+def test_prime_flags_across_segments_and_cut(lo, span):
+    with small_paths():
+        flags = prime_flags(lo, lo + span)
+    assert bytes(flags) == oracle_flags(lo, lo + span)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=80), min_size=1, max_size=8, unique=True),
+    st.integers(min_value=-100, max_value=100),
+    st.integers(min_value=-60, max_value=1100),
+    st.integers(min_value=0, max_value=160),
+    st.integers(min_value=1, max_value=6),
+)
+def test_rep_search_paths_match_oracles(offsets, shift, n_lo, span, top_k):
+    int_set = IntegerSet(tuple(sorted(shift + x for x in offsets)))
+    n_hi = n_lo + span
+    with small_paths():
+        profile = rep_search(int_set, n_lo, n_hi, top_k)
+        dense = profile.dense
+    expected = {n: brute_rep_count(n, int_set.elements, FLAGS) for n in range(n_lo, n_hi + 1)}
+    for n, count in expected.items():
+        assert profile.count_at(n) == count == rep_count(n, int_set), n
+    nonzero = [(n, c) for n, c in expected.items() if c]
+    assert list(profile.nonzero_items()) == nonzero
+    assert profile.represented_count == len(nonzero)
+    assert profile.total_representations == sum(expected.values())
+    ranked = sorted(expected.items(), key=lambda t: (-t[1], t[0]))
+    assert profile.records == tuple(ranked[:top_k])
+    assert dense == (span + 1 <= DENSE_MAX)
+
+
+@pytest.mark.parametrize(
+    "elements", [(0,), (-7, 0, 12, 250), (-300, 1, 10**8)], ids=["prime", "shared", "per-element"]
+)
+def test_rep_search_straddles_window_value_max(elements):
+    int_set = IntegerSet(elements)
+    lo, hi = 10**12 - 300, 10**12 + 300
+    profile = rep_search(int_set, lo, hi, 5)
+    counts = [rep_count(n, int_set) for n in range(lo, hi + 1)]
+    assert [profile.count_at(n) for n in range(lo, hi + 1)] == counts
+    assert profile.total_representations == sum(counts)
+
+
+def test_rep_search_n_past_int64():
+    # Only n - a must fit in 64 bits; n itself may not.
+    int_set = IntegerSet((2**62, 2**62 + 6))
+    lo, hi = 2**63 - 60, 2**63 + 60
+    profile = rep_search(int_set, lo, hi, 3)
+    counts = {n: rep_count(n, int_set) for n in range(lo, hi + 1)}
+    assert list(profile.nonzero_items()) == [(n, c) for n, c in counts.items() if c]
+    assert profile.records == tuple(sorted(counts.items(), key=lambda t: (-t[1], t[0]))[:3])
+
+
+def test_prime_flags_at_the_top_of_int64():
+    lo, hi = 2**63 - 200, 2**63 - 1
+    assert [lo + i for i, f in enumerate(prime_flags(lo, hi)) if f] == [
+        n for n in range(lo, hi + 1) if is_prime(n)
+    ]
+    with pytest.raises(DomainError):
+        prime_flags(0, 2**63)

@@ -90,10 +90,8 @@ class TestRepSearch:
     def test_dense_sparse_switch(self):
         dense = rep_search(IntegerSet((0,)), 0, 10**6 - 1, 3)
         assert dense.dense
-        assert dense.counts is None
         sparse = rep_search(IntegerSet((0,)), 0, 10**6, 3)
         assert not sparse.dense
-        assert sparse.dense_counts is None
         assert dense.total_representations <= sparse.total_representations
         assert dict(dense.nonzero_items()).items() <= dict(sparse.nonzero_items()).items()
 
