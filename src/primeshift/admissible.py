@@ -1,16 +1,16 @@
 """Admissibility checking with re-verifiable certificates.
 
 A finite integer set is admissible when its elements miss at least one
-residue class modulo every prime.  Only primes p <= len(set) can ever
+residue class modulo every prime.  Only primes p <= |set| can ever
 be fully covered (a set of size ell occupies at most ell classes), so a
-certificate enumerates exactly the primes p <= len(set); larger primes
+certificate enumerates exactly the primes p <= |set|; larger primes
 are admissible for free and carry no witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Sequence
 
 import numpy as np
 
@@ -24,55 +24,58 @@ ADMISSIBLE = "admissible"
 INADMISSIBLE = "inadmissible"
 
 
-@dataclass(frozen=True)
-class IntegerSet:
-    """Strictly increasing, non-empty tuple of 64-bit signed integers."""
+def _int64_array(values: Sequence[int] | np.ndarray) -> np.ndarray:
+    """A fresh int64 copy of ``values``; a value outside int64 is a ValidationError."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        obj = np.array(values, dtype=object)
+        bad = obj[(obj < INT64_MIN) | (obj > INT64_MAX)][0]
+        raise ValidationError(f"element {bad} outside the 64-bit range") from None
 
-    elements: tuple[int, ...]
+
+@dataclass(frozen=True, eq=False)
+class IntegerSet:
+    """Strictly increasing, non-empty set of 64-bit signed integers.
+
+    ``elements`` is a read-only int64 array; ``elements.tolist()`` gives
+    Python ints where arithmetic could leave the 64-bit range.
+    """
+
+    elements: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.elements, tuple):
-            object.__setattr__(self, "elements", tuple(self.elements))
-        if not self.elements:
+        arr = _int64_array(self.elements)
+        if arr.size == 0:
             raise ValidationError("an IntegerSet needs at least one element")
-        prev = None
-        for a in self.elements:
-            if not (INT64_MIN <= a <= INT64_MAX):
-                raise ValidationError(f"element {a} outside the 64-bit range")
-            if prev is not None and a <= prev:
-                raise ValidationError(
-                    f"elements must be strictly increasing; {a} follows {prev}"
-                )
-            prev = a
+        down = np.flatnonzero(arr[1:] <= arr[:-1])
+        if down.size:
+            i = down[0]
+            raise ValidationError(
+                f"elements must be strictly increasing; {arr[i + 1]} follows {arr[i]}"
+            )
+        arr.setflags(write=False)
+        object.__setattr__(self, "elements", arr)
 
     @classmethod
-    def from_values(cls, values: Iterable[int]) -> "IntegerSet":
+    def from_values(cls, values: Sequence[int] | np.ndarray) -> "IntegerSet":
         """Sort arbitrary input; duplicates are an error, not a merge."""
-        ordered = sorted(values)
-        for x, y in zip(ordered, ordered[1:]):
-            if x == y:
-                raise ValidationError(f"duplicate value {x}")
-        return cls(tuple(ordered))
+        arr = np.sort(_int64_array(values))
+        dup = np.flatnonzero(arr[1:] == arr[:-1])
+        if dup.size:
+            raise ValidationError(f"duplicate value {arr[dup[0]]}")
+        return cls(arr)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def to_numpy(self) -> np.ndarray:
-        return np.fromiter(self.elements, dtype=np.int64, count=len(self.elements))
+        return self.elements.size
 
 
 @dataclass(frozen=True)
 class AdmissibilityCertificate:
     """Verdict plus the evidence needed to re-check it directly.
 
-    Admissible: ``missed_residues`` maps every prime p <= len(set) to the
+    Admissible: ``missed_residues`` maps every prime p <= |set| to the
     smallest residue in [0, p) hit by no element.  Inadmissible:
     ``covered_prime`` is the smallest prime whose classes are all hit,
     and the residue map is empty.
@@ -100,7 +103,7 @@ def check_admissible(int_set: IntegerSet) -> AdmissibilityCertificate:
     certificates are deterministic.  Residues of negative elements are
     normalized into [0, p).
     """
-    arr = int_set.to_numpy()
+    arr = int_set.elements
     missed: dict[int, int] = {}
     for p in _primes_up_to_size(int_set.size):
         counts = np.bincount(arr % p, minlength=p)
@@ -116,13 +119,13 @@ def brute_force_admissible(int_set: IntegerSet, prime_bound: int) -> bool:
 
     For each prime p <= prime_bound, checks literally whether p divides
     prod(n + a) for every n in [0, p).  ``prime_bound`` must be at least
-    len(set), otherwise the oracle could miss a covered prime.
+    |set|, otherwise the oracle could miss a covered prime.
     """
     if prime_bound < int_set.size:
         raise DomainError(
             f"prime_bound {prime_bound} below set size {int_set.size}: oracle incomplete"
         )
-    elements = int_set.elements
+    elements = int_set.elements.tolist()
     for p in sieve(max(prime_bound, 2)).primes:
         if p > prime_bound:
             break

@@ -18,7 +18,7 @@ import mpmath
 from .admissible import IntegerSet
 from .errors import DomainError
 from .primes import nth_prime, sieve
-from .prune import greedy_prune
+from .prune import greedy_prune, survivor_lower_bound
 
 _MP_DPS = 60
 # Relative guard for float inequality verdicts; the compensated sums
@@ -203,14 +203,10 @@ def verify_proof_constants() -> list[LemmaReport]:
     """
     reports: list[LemmaReport] = []
 
-    num = 1
-    den = 1
-    for i in range(1, 101):
-        p = nth_prime(i)
-        num *= p - 1
-        den *= p
+    product = survivor_lower_bound(1, 100)
     with mpmath.workdps(_MP_DPS):
-        lhs = mpmath.exp(12) * mpmath.mpf(num) / mpmath.mpf(den)
+        kept = mpmath.mpf(product.numerator) / mpmath.mpf(product.denominator)
+        lhs = mpmath.exp(12) * kept
         margin_a = float(lhs - 547)
         passed_a = bool(lhs > 547)
     reports.append(

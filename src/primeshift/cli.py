@@ -87,8 +87,8 @@ def _set_summary(path: str, int_set: IntegerSet) -> dict[str, Any]:
     return {
         "path": path,
         "size": int_set.size,
-        "min": int_set.elements[0],
-        "max": int_set.elements[-1],
+        "min": int(int_set.elements[0]),
+        "max": int(int_set.elements[-1]),
     }
 
 
@@ -116,7 +116,7 @@ def _run_prune(config: RunConfig):
         "s": trace.s,
         "stop_prime": trace.stop_prime,
         "final_size": trace.final_size,
-        "final_set": list(trace.final_set.elements),
+        "final_set": trace.final_set.elements.tolist(),
         "steps": [
             {
                 "index": st.index,
@@ -250,8 +250,8 @@ def _run_gen(config: RunConfig):
     count = config.params["count"]
     ratio = config.params["ratio"]
     out = config.params.get("out")
-    int_set = gen_sequence(kind, count, ratio)
-    listing = "\n".join(str(a) for a in int_set.elements)
+    elements = gen_sequence(kind, count, ratio).elements.tolist()
+    listing = "\n".join(str(a) for a in elements)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(listing + "\n")
@@ -259,7 +259,7 @@ def _run_gen(config: RunConfig):
         "kind": kind,
         "count": count,
         "seed_ratio": ratio if kind == "divisor_chain" else None,
-        "elements": list(int_set.elements),
+        "elements": elements,
     }
     summary = {"kind": kind, "count": count, "ratio": ratio}
     return result, summary, 0, listing, listing
@@ -357,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repsearch", help="representation counts over a range")
     p.add_argument("input")
-    p.add_argument("--from", dest="n_from", type=int, required=True)
-    p.add_argument("--to", dest="n_to", type=int, required=True)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--from", dest="n_lo", type=int, required=True)
+    p.add_argument("--to", dest="n_hi", type=int, required=True)
+    p.add_argument("--top", dest="top_k", type=int, default=10)
     common(p)
 
     p = sub.add_parser("romanoff", help="density of odd prime-plus-power-of-two sums")
@@ -382,37 +382,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    params: dict[str, Any] = {}
-    input_path = getattr(args, "input", None)
-    if args.subcommand == "bound":
-        params = {"ell": args.ell, "x": args.x}
-    elif args.subcommand == "verify-lemmas":
-        params = {"mertens_limit": args.mertens_limit}
-    elif args.subcommand == "repsearch":
-        params = {"n_lo": args.n_from, "n_hi": args.n_to, "top_k": args.top}
-    elif args.subcommand == "romanoff":
-        params = {"limit": args.limit, "k_min": args.k_min}
-    elif args.subcommand == "gen":
-        params = {"kind": args.kind, "count": args.count, "ratio": args.ratio, "out": args.out}
-    elif args.subcommand == "primes":
-        params = {"limit": args.limit}
-    return RunConfig(
-        subcommand=args.subcommand,
-        input_path=input_path,
-        params=params,
-        output_format=args.format,
-    )
+    """Every parsed option except the subcommand, format and input is a parameter."""
+    params = dict(vars(args))
+    subcommand = params.pop("subcommand")
+    output_format = params.pop("format")
+    input_path = params.pop("input", None)
+    return RunConfig(subcommand, input_path, params, output_format)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except PrimeShiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    code, report = dispatch(config)
+    args = build_parser().parse_args(argv)
+    code, report = dispatch(config_from_args(args))
     if code == 2:
         print(report, file=sys.stderr)
     elif report:

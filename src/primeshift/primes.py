@@ -49,12 +49,6 @@ class PrimeTable:
     def count(self) -> int:
         return len(self.primes)
 
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
 
 def _flags(lo: int, hi: int, base: list[int]) -> np.ndarray:
     """uint8 flags for lo..hi (1 iff prime); ``base`` holds every prime <= sqrt(hi)."""

@@ -60,7 +60,7 @@ def greedy_prune(int_set: IntegerSet) -> PruneTrace:
     proxy, so the returned admissible set is as large as the greedy
     process allows.
     """
-    arr = int_set.to_numpy()
+    arr = int_set.elements
     proxy = int_set.size
     steps: list[PruneStep] = []
     t = 0
@@ -89,7 +89,7 @@ def greedy_prune(int_set: IntegerSet) -> PruneTrace:
         input_size=int_set.size,
         steps=tuple(steps),
         s=t,
-        final_set=IntegerSet(tuple(int(a) for a in arr)),
+        final_set=IntegerSet(arr),
         stop_prime=nth_prime(t + 1),
     )
 

@@ -83,7 +83,7 @@ class RepresentationProfile:
 
 def rep_count(n: int, int_set: IntegerSet) -> int:
     """Number of elements a with n - a prime."""
-    elements = int_set.elements
+    elements = int_set.elements.tolist()
     if n - elements[-1] < INT64_MIN or n - elements[0] > INT64_MAX:
         raise DomainError(f"n - a leaves the 64-bit range for n={n}")
     count = 0
@@ -94,7 +94,7 @@ def rep_count(n: int, int_set: IntegerSet) -> int:
     return count
 
 
-def _chunk_counts(elements: tuple[int, ...], c_lo: int, c_hi: int) -> np.ndarray:
+def _chunk_counts(elements: list[int], c_lo: int, c_hi: int) -> np.ndarray:
     width = c_hi - c_lo + 1
     counts = np.zeros(width, dtype=np.int64)
     a_min, a_max = elements[0], elements[-1]
@@ -127,7 +127,7 @@ def rep_search(
     width = n_hi - n_lo + 1
     if width > RANGE_WIDTH_MAX:
         raise ResourceError(f"range width {width} exceeds {RANGE_WIDTH_MAX}")
-    elements = int_set.elements
+    elements = int_set.elements.tolist()
     if n_lo - elements[-1] < INT64_MIN or n_hi - elements[0] > INT64_MAX:
         raise DomainError("n - a leaves the 64-bit range on this search range")
 

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from primeshift import (
     ValidationError,
     brute_force_admissible,
     check_admissible,
+    greedy_prune,
 )
 
 from support import residues_all_covered, trial_division_primes
@@ -28,11 +30,10 @@ class TestIntegerSet:
     def test_valid_construction(self):
         s = IntegerSet((-5, 0, 7))
         assert s.size == 3
-        assert len(s) == 3
-        assert list(s) == [-5, 0, 7]
+        assert s.elements.tolist() == [-5, 0, 7]
 
     def test_from_values_sorts(self):
-        assert IntegerSet.from_values([5, 3, 8]).elements == (3, 5, 8)
+        assert IntegerSet.from_values([5, 3, 8]).elements.tolist() == [3, 5, 8]
 
     def test_duplicate_rejected_with_value(self):
         with pytest.raises(ValidationError, match="7"):
@@ -54,6 +55,27 @@ class TestIntegerSet:
             IntegerSet((2**63,))
         with pytest.raises(ValidationError):
             IntegerSet((-(2**63) - 1, 0))
+
+    def test_elements_are_read_only_int64(self):
+        pruned = greedy_prune(IntegerSet(tuple(range(8)))).final_set
+        for s in (IntegerSet((-5, 0, 7)), IntegerSet.from_values([9, 1]), pruned):
+            assert s.elements.dtype == np.int64
+            assert not s.elements.flags.writeable
+            with pytest.raises(ValueError):
+                s.elements[0] = 3
+
+    def test_errors_name_the_offending_values(self):
+        with pytest.raises(ValidationError, match=f"^element {2**63} outside"):
+            IntegerSet.from_values([5, 2**63, 1])
+        with pytest.raises(ValidationError, match="^duplicate value 3$"):
+            IntegerSet.from_values([9, 3, 7, 9, 3])
+        with pytest.raises(ValidationError, match="; 1 follows 3$"):
+            IntegerSet((0, 3, 1, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, unique=True))
+    def test_from_values_sorts_any_int64_values(self, xs):
+        assert IntegerSet.from_values(xs).elements.tolist() == sorted(xs)
 
 
 class TestCheckAdmissible:

@@ -40,16 +40,16 @@ def run(subcommand, input_path=None, fmt="json", **params):
 class TestParseInputSet:
     def test_basic(self, tmp_path):
         path = write_set(tmp_path, "a.txt", "2\n4\n8\n")
-        assert parse_input_set(path).elements == (2, 4, 8)
+        assert parse_input_set(path).elements.tolist() == [2, 4, 8]
 
     def test_comments_and_sorting(self, tmp_path):
         path = write_set(tmp_path, "b.txt", "# comment\n5\n\n3\n")
-        assert parse_input_set(path).elements == (3, 5)
+        assert parse_input_set(path).elements.tolist() == [3, 5]
 
     def test_crlf(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_bytes(b"7\r\n-2\r\n")
-        assert parse_input_set(str(path)).elements == (-2, 7)
+        assert parse_input_set(str(path)).elements.tolist() == [-2, 7]
 
     def test_duplicate_named(self, tmp_path):
         path = write_set(tmp_path, "d.txt", "7\n7\n")
@@ -169,7 +169,7 @@ class TestDispatch:
         out = tmp_path / "gen.txt"
         code, _ = run("gen", kind="divisor_chain", count=5, ratio=3, out=str(out))
         assert code == 0
-        assert parse_input_set(str(out)).elements == (3, 9, 27, 81, 243)
+        assert parse_input_set(str(out)).elements.tolist() == [3, 9, 27, 81, 243]
 
     def test_primes_stats(self):
         code, report = run("primes", limit=547)

@@ -35,7 +35,7 @@ def test_zero_to_seven_trace():
     )
     assert trace.s == 2
     assert trace.stop_prime == 5
-    assert trace.final_set.elements == (0, 4, 6)
+    assert trace.final_set.elements.tolist() == [0, 4, 6]
     assert brute_force_admissible(trace.final_set, 23)
 
 
@@ -48,7 +48,7 @@ def test_empty_class_skips_removal():
     assert first.removed_residue == 1
     assert first.survivors_actual == 4
     assert first.survivors_paper == 2
-    assert trace.final_set.elements == (0, 4, 6)
+    assert trace.final_set.elements.tolist() == [0, 4, 6]
 
 
 def test_actual_stopping_can_outlast_proxy_stopping():

@@ -189,9 +189,9 @@ class TestRomanoff:
 
 class TestGenSequence:
     def test_examples(self):
-        assert gen_sequence("powers_of_two", 4).elements == (2, 4, 8, 16)
-        assert gen_sequence("two_pow_prime", 3).elements == (4, 8, 32)
-        assert gen_sequence("divisor_chain", 3, 3).elements == (3, 9, 27)
+        assert gen_sequence("powers_of_two", 4).elements.tolist() == [2, 4, 8, 16]
+        assert gen_sequence("two_pow_prime", 3).elements.tolist() == [4, 8, 32]
+        assert gen_sequence("divisor_chain", 3, 3).elements.tolist() == [3, 9, 27]
 
     def test_divisor_chain_property(self):
         chain = gen_sequence("divisor_chain", 8, 5).elements
