@@ -10,17 +10,14 @@ from .admissible import (
     INADMISSIBLE,
     AdmissibilityCertificate,
     IntegerSet,
-    brute_force_admissible,
     check_admissible,
 )
 from .bounds import (
     GuaranteeReport,
     LemmaReport,
     corollary_bound,
-    final_inequality_check,
     guarantee,
     maynard_m,
-    prime_reciprocal_product,
     theorem1_bound,
     verify_mertens,
     verify_proof_constants,
@@ -41,7 +38,6 @@ from .representation import (
     rep_count,
     rep_search,
     romanoff_counts,
-    romanoff_density,
 )
 
 __version__ = "0.1.0"
@@ -63,10 +59,8 @@ __all__ = [
     "RepresentationProfile",
     "ResourceError",
     "ValidationError",
-    "brute_force_admissible",
     "check_admissible",
     "corollary_bound",
-    "final_inequality_check",
     "gen_sequence",
     "greedy_prune",
     "guarantee",
@@ -74,11 +68,9 @@ __all__ = [
     "maynard_m",
     "nth_prime",
     "prime_flags",
-    "prime_reciprocal_product",
     "rep_count",
     "rep_search",
     "romanoff_counts",
-    "romanoff_density",
     "sieve",
     "survivor_lower_bound",
     "theorem1_bound",

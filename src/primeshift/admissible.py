@@ -9,12 +9,13 @@ are admissible for free and carry no witness.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .primes import sieve
 
 INT64_MIN = -(2**63)
@@ -25,13 +26,26 @@ INADMISSIBLE = "inadmissible"
 
 
 def _int64_array(values: Sequence[int] | np.ndarray) -> np.ndarray:
-    """A fresh int64 copy of ``values``; a value outside int64 is a ValidationError."""
+    """A fresh int64 copy of ``values``.
+
+    Signed integer arrays convert directly; anything else goes through
+    ``operator.index`` one value at a time, so floats and other
+    non-integers are a ValidationError rather than truncated, and so is
+    any value outside the 64-bit range.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return values.astype(np.int64)
     try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        obj = np.array(values, dtype=object)
-        bad = obj[(obj < INT64_MIN) | (obj > INT64_MAX)][0]
-        raise ValidationError(f"element {bad} outside the 64-bit range") from None
+        return np.fromiter(map(operator.index, values), dtype=np.int64, count=len(values))
+    except (TypeError, OverflowError):
+        for v in values:
+            try:
+                i = operator.index(v)
+            except TypeError:
+                raise ValidationError(f"element {v!r} is not an integer") from None
+            if not INT64_MIN <= i <= INT64_MAX:
+                raise ValidationError(f"element {i} outside the 64-bit range") from None
+        raise
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +99,6 @@ class AdmissibilityCertificate:
     missed_residues: dict[int, int] = field(default_factory=dict)
     covered_prime: int | None = None
 
-    @property
-    def admissible(self) -> bool:
-        return self.verdict == ADMISSIBLE
-
 
 def _primes_up_to_size(ell: int) -> tuple[int, ...]:
     if ell < 2:
@@ -112,23 +122,3 @@ def check_admissible(int_set: IntegerSet) -> AdmissibilityCertificate:
             return AdmissibilityCertificate(INADMISSIBLE, {}, int(p))
         missed[int(p)] = int(empty[0])
     return AdmissibilityCertificate(ADMISSIBLE, missed, None)
-
-
-def brute_force_admissible(int_set: IntegerSet, prime_bound: int) -> bool:
-    """Admissibility by the covering definition, used as a test oracle.
-
-    For each prime p <= prime_bound, checks literally whether p divides
-    prod(n + a) for every n in [0, p).  ``prime_bound`` must be at least
-    |set|, otherwise the oracle could miss a covered prime.
-    """
-    if prime_bound < int_set.size:
-        raise DomainError(
-            f"prime_bound {prime_bound} below set size {int_set.size}: oracle incomplete"
-        )
-    elements = int_set.elements.tolist()
-    for p in sieve(max(prime_bound, 2)).primes:
-        if p > prime_bound:
-            break
-        if all(any((n + a) % p == 0 for a in elements) for n in range(p)):
-            return False
-    return True

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
@@ -112,23 +111,6 @@ def guarantee(int_set: IntegerSet) -> GuaranteeReport:
         theorem_bound=bound,
         satisfied=m > bound,
     )
-
-
-def prime_reciprocal_product(x: int) -> Fraction:
-    """Exact prod_{3 <= p <= x} p / (p - 1); 1 when x < 3.
-
-    Only sensible for small x (the exact numerator grows like e^x);
-    used to cross-check the float accumulation in verify_mertens.
-    """
-    if x < 3:
-        return Fraction(1)
-    num = 1
-    den = 1
-    for p in sieve(x).primes:
-        if p >= 3:
-            num *= p
-            den *= p - 1
-    return Fraction(num, den)
 
 
 def verify_mertens(x_max: int) -> LemmaReport:
@@ -241,23 +223,3 @@ def verify_proof_constants() -> list[LemmaReport]:
         )
     )
     return reports
-
-
-def final_inequality_check(ell: int, ell_s: int) -> bool:
-    """Cross-module consistency of the closing inequality chain.
-
-    True iff the clamped m beats (1/8) ln(ell) - 1.6 whenever
-    ell_s * ln(ell_s) >= 0.54 * ell; vacuously true when the hypothesis
-    fails.  The hypothesis is evaluated at 60 digits so borderline
-    inputs cannot flip on rounding.
-    """
-    if ell_s < 2:
-        raise DomainError(f"ell_s must be >= 2, got {ell_s}")
-    if ell < ell_s:
-        raise DomainError(f"ell ({ell}) must be >= ell_s ({ell_s})")
-    with mpmath.workdps(_MP_DPS):
-        hypothesis = mpmath.mpf(ell_s) * mpmath.log(ell_s) >= mpmath.mpf("0.54") * ell
-    if not hypothesis:
-        return True
-    m = max(maynard_m(ell_s), 1)
-    return m > theorem1_bound(ell)

@@ -30,7 +30,7 @@ from .bounds import (
 from .errors import ParseError, PrimeShiftError, ValidationError
 from .primes import sieve
 from .prune import greedy_prune
-from .representation import gen_sequence, rep_search, romanoff_counts
+from .representation import SEQUENCE_KINDS, gen_sequence, rep_search, romanoff_counts
 
 JSON_VERSION = 1
 
@@ -211,7 +211,6 @@ def _run_repsearch(config: RunConfig):
         "n_lo": n_lo,
         "n_hi": n_hi,
         "top_k": top_k,
-        "dense": profile.dense,
         "represented_count": profile.represented_count,
         "total_representations": profile.total_representations,
         "max_count": profile.max_count,
@@ -368,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("gen", help="emit a stock sequence")
-    p.add_argument("--kind", choices=("powers_of_two", "divisor_chain", "two_pow_prime"), required=True)
+    p.add_argument("--kind", choices=SEQUENCE_KINDS, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--ratio", type=int, default=2)
     p.add_argument("--out")

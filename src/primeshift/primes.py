@@ -170,7 +170,14 @@ def nth_prime(i: int) -> int:
     return primes[i - 1]
 
 
-def _is_prime_unchecked(n: int) -> bool:
+def is_prime(n: int) -> bool:
+    """Exact primality for any 64-bit signed integer (n < 2 is composite).
+
+    Deterministic Miller-Rabin with a witness set valid for all n < 2^64;
+    larger inputs are rejected rather than answered probabilistically.
+    """
+    if n >= 2**64:
+        raise DomainError(f"is_prime is exact only below 2^64, got {n}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -198,14 +205,3 @@ def _is_prime_unchecked(n: int) -> bool:
         else:
             return False
     return True
-
-
-def is_prime(n: int) -> bool:
-    """Exact primality for any 64-bit signed integer (n < 2 is composite).
-
-    Deterministic Miller-Rabin with a witness set valid for all n < 2^64;
-    larger inputs are rejected rather than answered probabilistically.
-    """
-    if n >= 2**64:
-        raise DomainError(f"is_prime is exact only below 2^64, got {n}")
-    return _is_prime_unchecked(n)

@@ -22,7 +22,6 @@ from .errors import DomainError, ResourceError
 from .primes import is_prime, nth_prime, prime_flags
 
 RANGE_WIDTH_MAX = 10**9
-DENSE_WIDTH_MAX = 10**6
 SEQUENCE_KINDS = ("powers_of_two", "divisor_chain", "two_pow_prime")
 
 _CHUNK = 1 << 22
@@ -38,9 +37,8 @@ class RepresentationProfile:
     ``offsets`` holds n - n_lo for every n with a nonzero count,
     ascending, and ``nonzero_counts`` their counts; both are read-only
     int64 arrays.  Offsets rather than n keep every entry inside int64
-    even where n itself is not.  ``dense`` only reports whether the
-    range is at most DENSE_WIDTH_MAX wide.  Records hold the true top-k
-    pairs (n, count), count descending, ties to the smaller n.
+    even where n itself is not.  Records hold the true top-k pairs
+    (n, count), count descending, ties to the smaller n.
     """
 
     int_set: IntegerSet
@@ -49,18 +47,6 @@ class RepresentationProfile:
     offsets: np.ndarray
     nonzero_counts: np.ndarray
     records: tuple[tuple[int, int], ...]
-
-    @property
-    def dense(self) -> bool:
-        return self.n_hi - self.n_lo + 1 <= DENSE_WIDTH_MAX
-
-    def count_at(self, n: int) -> int:
-        if not self.n_lo <= n <= self.n_hi:
-            raise DomainError(f"{n} outside profile range [{self.n_lo}, {self.n_hi}]")
-        i = int(np.searchsorted(self.offsets, n - self.n_lo))
-        if i < self.offsets.size and self.offsets[i] == n - self.n_lo:
-            return int(self.nonzero_counts[i])
-        return 0
 
     def nonzero_items(self) -> Iterator[tuple[int, int]]:
         """(n, count) pairs with count >= 1, ascending n."""
@@ -177,12 +163,6 @@ def romanoff_counts(limit: int, k_min: int = 1) -> tuple[int, int]:
         k += 1
     odd = reachable[3::2]
     return int(odd.sum()), int(odd.size)
-
-
-def romanoff_density(limit: int, k_min: int = 1) -> float:
-    """Fraction of odd n in [3, limit] equal to a prime plus a power of two."""
-    representable, total = romanoff_counts(limit, k_min)
-    return representable / total
 
 
 def gen_sequence(kind: str, count: int, seed_ratio: int = 2) -> IntegerSet:

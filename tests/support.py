@@ -5,6 +5,7 @@ package against straight-line definitions.
 """
 
 import math
+from fractions import Fraction
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -18,6 +19,29 @@ def trial_division_is_prime(n: int) -> bool:
 
 def trial_division_primes(limit: int) -> list[int]:
     return [n for n in range(2, limit + 1) if trial_division_is_prime(n)]
+
+
+def brute_force_admissible(elements, prime_bound: int) -> bool:
+    """Admissibility by the covering definition.
+
+    For each prime p <= prime_bound, checks literally whether p divides
+    prod(n + a) for every n in [0, p).  ``prime_bound`` must be at least
+    len(elements), otherwise the oracle could miss a covered prime.
+    """
+    if prime_bound < len(elements):
+        raise ValueError(
+            f"prime_bound {prime_bound} below set size {len(elements)}: oracle incomplete"
+        )
+    return not any(
+        all(any((n + a) % p == 0 for a in elements) for n in range(p))
+        for p in trial_division_primes(prime_bound)
+    )
+
+
+def prime_reciprocal_product(x: int) -> Fraction:
+    """Exact prod_{3 <= p <= x} p / (p - 1); 1 when x < 3."""
+    odd = [p for p in trial_division_primes(x) if p > 2]
+    return Fraction(math.prod(odd), math.prod(p - 1 for p in odd))
 
 
 def byte_sieve(limit: int) -> bytearray:

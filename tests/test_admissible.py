@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from primeshift import (
     ADMISSIBLE,
     INADMISSIBLE,
-    DomainError,
     IntegerSet,
     ValidationError,
-    brute_force_admissible,
     check_admissible,
     greedy_prune,
 )
 
-from support import residues_all_covered, trial_division_primes
+from support import brute_force_admissible, residues_all_covered, trial_division_primes
 
 small_sets = st.lists(
     st.integers(min_value=-(10**9), max_value=10**9),
@@ -67,6 +65,12 @@ class TestIntegerSet:
     def test_errors_name_the_offending_values(self):
         with pytest.raises(ValidationError, match=f"^element {2**63} outside"):
             IntegerSet.from_values([5, 2**63, 1])
+        with pytest.raises(ValidationError, match=f"^element {2**63} outside"):
+            IntegerSet(np.array([2**63], dtype=np.uint64))
+        with pytest.raises(ValidationError, match=r"^element 1\.5 is not an integer$"):
+            IntegerSet((1.5, 2.7))
+        with pytest.raises(ValidationError, match=r"^element 3\.9 is not an integer$"):
+            IntegerSet.from_values([3.9, 1.2])
         with pytest.raises(ValidationError, match="^duplicate value 3$"):
             IntegerSet.from_values([9, 3, 7, 9, 3])
         with pytest.raises(ValidationError, match="; 1 follows 3$"):
@@ -117,24 +121,12 @@ class TestCheckAdmissible:
         assert cert.missed_residues == {2: 1, 3: 1}
 
 
-class TestBruteForce:
-    def test_examples(self):
-        assert brute_force_admissible(IntegerSet((0, 2)), 5)
-        assert not brute_force_admissible(IntegerSet((0, 1)), 5)
-        assert brute_force_admissible(IntegerSet((0, 4, 6)), 7)
-
-    def test_bound_too_small_rejected(self):
-        with pytest.raises(DomainError):
-            brute_force_admissible(IntegerSet((0, 1, 2)), 2)
-
-
 def test_oracle_equivalence_small_exhaustive():
     universe = range(13)
     for size in range(1, 5):
         for combo in itertools.combinations(universe, size):
-            s = IntegerSet(combo)
-            expected = brute_force_admissible(s, 13)
-            assert (check_admissible(s).verdict == ADMISSIBLE) == expected
+            expected = brute_force_admissible(combo, 13)
+            assert (check_admissible(IntegerSet(combo)).verdict == ADMISSIBLE) == expected
 
 
 @settings(max_examples=200, deadline=None)

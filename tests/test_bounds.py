@@ -11,16 +11,14 @@ from primeshift import (
     DomainError,
     IntegerSet,
     corollary_bound,
-    final_inequality_check,
     guarantee,
     maynard_m,
-    prime_reciprocal_product,
     theorem1_bound,
     verify_mertens,
     verify_proof_constants,
 )
 
-from support import trial_division_primes
+from support import prime_reciprocal_product, trial_division_primes
 
 # Threshold indices located by pre-build bisection in 60-digit arithmetic:
 # k*ln(k) crosses e^12 between 16735 and 16736, e^20 between 28277049
@@ -103,22 +101,10 @@ class TestMertens:
         assert report.passed
         assert abs(report.margin - 0.005878639183609202) < 1e-12
 
-    def test_exact_product_small(self):
-        assert prime_reciprocal_product(10) == Fraction(35, 16)
-        assert prime_reciprocal_product(2) == Fraction(1)
-
     def test_margin_matches_exact_rational_recomputation(self):
         report = verify_mertens(100)
-        margins = []
-        product = Fraction(1)
-        for p in trial_division_primes(73):
-            if p >= 3:
-                product *= Fraction(p, p - 1)
-        margins.append(0.923 * math.log(74) - float(product))
-        for q in trial_division_primes(100):
-            if q > 74:
-                product *= Fraction(q, q - 1)
-                margins.append(0.923 * math.log(q) - float(product))
+        checkpoints = [74] + [q for q in trial_division_primes(100) if q > 74]
+        margins = [0.923 * math.log(x) - float(prime_reciprocal_product(x)) for x in checkpoints]
         assert abs(report.margin - min(margins)) < 1e-9
 
     def test_minimum_sits_at_74(self):
@@ -146,20 +132,6 @@ class TestProofConstants:
 
 
 class TestFinalInequality:
-    def test_examples(self):
-        assert final_inequality_check(100, 50)
-        assert final_inequality_check(2 * 10**5, 16889)
-
-    def test_vacuous_when_hypothesis_fails(self):
-        # 2*ln(2) is far below 0.54 * 10^6
-        assert final_inequality_check(10**6, 2)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            final_inequality_check(10, 1)
-        with pytest.raises(DomainError):
-            final_inequality_check(5, 10)
-
     def test_chain_slack_is_positive(self):
         # the step from -12/8 + ln(0.54)/8 down to -1.6 has real room
         assert math.log(0.54) / 8 > -0.1
@@ -198,4 +170,3 @@ class TestGuarantee:
         assert report.theorem_bound > 0
         assert report.m > report.theorem_bound
         assert report.satisfied
-        assert final_inequality_check(report.ell, report.ell_s)

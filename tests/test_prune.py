@@ -8,14 +8,13 @@ from primeshift import (
     ADMISSIBLE,
     IntegerSet,
     PruneStep,
-    brute_force_admissible,
     check_admissible,
     greedy_prune,
     nth_prime,
     survivor_lower_bound,
 )
 
-from support import proxy_sequence, trial_division_primes
+from support import brute_force_admissible, proxy_sequence, trial_division_primes
 
 
 def test_singleton_stops_immediately():
@@ -36,7 +35,7 @@ def test_zero_to_seven_trace():
     assert trace.s == 2
     assert trace.stop_prime == 5
     assert trace.final_set.elements.tolist() == [0, 4, 6]
-    assert brute_force_admissible(trace.final_set, 23)
+    assert brute_force_admissible(trace.final_set.elements.tolist(), 23)
 
 
 def test_empty_class_skips_removal():

@@ -1,6 +1,6 @@
 """Differential tests that drive rep_search and prime_flags down every path.
 
-Shrinking the chunk, spread, dense, segment and sieve-cut constants lets
+Shrinking the chunk, spread, segment and sieve-cut constants lets
 small generated sets and ranges reach the shared window, per-element
 windows, chunk edges, segment edges and windows that straddle the cut
 between exact sieving and Miller-Rabin confirmation.  Each result is
@@ -21,7 +21,6 @@ from support import brute_rep_count, byte_sieve
 
 FLAGS = byte_sieve(2000)
 SPREAD_MAX = 40
-DENSE_MAX = 50
 # Above the cut only primes <= sqrt(400) = 20 sieve, so composites such
 # as 23 * 29 survive and must be rejected by is_prime.
 CUT = 400
@@ -32,7 +31,6 @@ def small_paths():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(representation, "_CHUNK", 37)
         mp.setattr(representation, "_SPREAD_MAX", SPREAD_MAX)
-        mp.setattr(representation, "DENSE_WIDTH_MAX", DENSE_MAX)
         mp.setattr(primes_mod, "_SEGMENT", 29)
         mp.setattr(primes_mod, "WINDOW_VALUE_MAX", CUT)
         yield
@@ -63,17 +61,15 @@ def test_rep_search_paths_match_oracles(offsets, shift, n_lo, span, top_k):
     n_hi = n_lo + span
     with small_paths():
         profile = rep_search(int_set, n_lo, n_hi, top_k)
-        dense = profile.dense
     expected = {n: brute_rep_count(n, int_set.elements, FLAGS) for n in range(n_lo, n_hi + 1)}
     for n, count in expected.items():
-        assert profile.count_at(n) == count == rep_count(n, int_set), n
+        assert count == rep_count(n, int_set), n
     nonzero = [(n, c) for n, c in expected.items() if c]
     assert list(profile.nonzero_items()) == nonzero
     assert profile.represented_count == len(nonzero)
     assert profile.total_representations == sum(expected.values())
     ranked = sorted(expected.items(), key=lambda t: (-t[1], t[0]))
     assert profile.records == tuple(ranked[:top_k])
-    assert dense == (span + 1 <= DENSE_MAX)
 
 
 @pytest.mark.parametrize(
@@ -83,9 +79,9 @@ def test_rep_search_straddles_window_value_max(elements):
     int_set = IntegerSet(elements)
     lo, hi = 10**12 - 300, 10**12 + 300
     profile = rep_search(int_set, lo, hi, 5)
-    counts = [rep_count(n, int_set) for n in range(lo, hi + 1)]
-    assert [profile.count_at(n) for n in range(lo, hi + 1)] == counts
-    assert profile.total_representations == sum(counts)
+    counts = {n: rep_count(n, int_set) for n in range(lo, hi + 1)}
+    assert list(profile.nonzero_items()) == [(n, c) for n, c in counts.items() if c]
+    assert profile.total_representations == sum(counts.values())
 
 
 def test_rep_search_n_past_int64():

@@ -13,7 +13,6 @@ from primeshift import (
     rep_count,
     rep_search,
     romanoff_counts,
-    romanoff_density,
 )
 
 from support import brute_rep_count, byte_sieve
@@ -72,52 +71,51 @@ class TestRepSearch:
             IntegerSet((-7, 0, 12)),
         ]
         for int_set in sets:
-            profile = rep_search(int_set, 0, 2000, 4)
+            counts = dict(rep_search(int_set, 0, 2000, 4).nonzero_items())
             for n in range(0, 2001):
-                assert profile.count_at(n) == brute_rep_count(
+                assert counts.get(n, 0) == brute_rep_count(
                     n, int_set.elements, FLAGS_10K
                 ), (int_set, n)
 
     def test_records_are_true_top_k(self):
         int_set = IntegerSet((1, 2, 3))
         profile = rep_search(int_set, 0, 500, 7)
+        counts = dict(profile.nonzero_items())
         pairs = sorted(
-            ((n, profile.count_at(n)) for n in range(0, 501)),
+            ((n, counts.get(n, 0)) for n in range(0, 501)),
             key=lambda t: (-t[1], t[0]),
         )
         assert profile.records == tuple(pairs[:7])
 
     def test_dense_sparse_switch(self):
         dense = rep_search(IntegerSet((0,)), 0, 10**6 - 1, 3)
-        assert dense.dense
         sparse = rep_search(IntegerSet((0,)), 0, 10**6, 3)
-        assert not sparse.dense
         assert dense.total_representations <= sparse.total_representations
         assert dict(dense.nonzero_items()).items() <= dict(sparse.nonzero_items()).items()
 
     def test_wide_spread_uses_per_element_windows(self):
         int_set = IntegerSet((0, 10**8))  # spread beyond the shared-window cap
         lo, hi = 10**8 + 2, 10**8 + 2000
-        profile = rep_search(int_set, lo, hi, 3)
+        counts = dict(rep_search(int_set, lo, hi, 3).nonzero_items())
         for n in range(lo, hi + 1, 97):
-            assert profile.count_at(n) == rep_count(n, int_set)
+            assert counts.get(n, 0) == rep_count(n, int_set)
 
     def test_per_query_fallback_matches_rep_count(self):
         int_set = IntegerSet((2**62, 2**62 + 6))
         lo = 2**62 + 2
-        profile = rep_search(int_set, lo, lo + 120, 3)
+        counts = dict(rep_search(int_set, lo, lo + 120, 3).nonzero_items())
         for n in range(lo, lo + 121):
-            assert profile.count_at(n) == rep_count(n, int_set)
+            assert counts.get(n, 0) == rep_count(n, int_set)
 
     def test_shift_covariance(self):
         rng = random.Random(229845)
         base = IntegerSet((0, 4, 10))
-        reference = rep_search(base, 0, 400, 3)
+        reference = dict(rep_search(base, 0, 400, 3).nonzero_items())
         for shift in (1, -3, 17, 1000):
             shifted = IntegerSet(tuple(a + shift for a in base.elements))
-            moved = rep_search(shifted, shift, 400 + shift, 3)
+            moved = dict(rep_search(shifted, shift, 400 + shift, 3).nonzero_items())
             for n in rng.sample(range(401), 40):
-                assert moved.count_at(n + shift) == reference.count_at(n)
+                assert moved.get(n + shift, 0) == reference.get(n, 0)
 
     def test_total_matches_windowed_prime_counts(self):
         # for each element the hits in [2, N] are the primes in
@@ -140,16 +138,12 @@ class TestRepSearch:
             rep_search(one, 0, 10, 0)
         with pytest.raises(ResourceError):
             rep_search(one, 0, 10**9, 1)
-        with pytest.raises(DomainError):
-            profile = rep_search(one, 0, 10, 1)
-            profile.count_at(11)
 
 
 class TestRomanoff:
     def test_small_examples(self):
         assert romanoff_counts(9, 1) == (3, 4)
-        assert romanoff_density(9, 1) == 0.75
-        assert romanoff_density(9, 0) == 1.0
+        assert romanoff_counts(9, 0) == (4, 4)
 
     def test_matches_brute_force(self):
         limit = 10**4
@@ -171,20 +165,21 @@ class TestRomanoff:
 
     def test_k_min_relaxation_monotone(self):
         for limit in (9, 100, 10**4):
-            assert romanoff_density(limit, 0) >= romanoff_density(limit, 1)
+            assert romanoff_counts(limit, 0)[0] >= romanoff_counts(limit, 1)[0]
 
     def test_density_in_unit_interval(self):
         for limit in (3, 9, 1000):
             for k_min in (0, 1):
-                assert 0.0 <= romanoff_density(limit, k_min) <= 1.0
+                representable, total = romanoff_counts(limit, k_min)
+                assert 0 <= representable <= total
 
     def test_guards(self):
         with pytest.raises(DomainError):
-            romanoff_density(2, 1)
+            romanoff_counts(2, 1)
         with pytest.raises(DomainError):
-            romanoff_density(100, 2)
+            romanoff_counts(100, 2)
         with pytest.raises(ResourceError):
-            romanoff_density(10**9 + 1, 1)
+            romanoff_counts(10**9 + 1, 1)
 
 
 class TestGenSequence:
