@@ -31,8 +31,10 @@ def _int64_array(values: Sequence[int] | np.ndarray) -> np.ndarray:
     Signed integer arrays convert directly; anything else goes through
     ``operator.index`` one value at a time, so floats and other
     non-integers are a ValidationError rather than truncated, and so is
-    any value outside the 64-bit range.
+    any value outside the 64-bit range.  Input must be one-dimensional.
     """
+    if isinstance(values, np.ndarray) and values.ndim != 1:
+        raise ValidationError(f"elements must be one-dimensional, got shape {values.shape}")
     if isinstance(values, np.ndarray) and values.dtype.kind == "i":
         return values.astype(np.int64)
     try:
@@ -100,12 +102,6 @@ class AdmissibilityCertificate:
     covered_prime: int | None = None
 
 
-def _primes_up_to_size(ell: int) -> tuple[int, ...]:
-    if ell < 2:
-        return ()
-    return sieve(ell).primes
-
-
 def check_admissible(int_set: IntegerSet) -> AdmissibilityCertificate:
     """Decide admissibility and produce a witness per examined prime.
 
@@ -115,7 +111,7 @@ def check_admissible(int_set: IntegerSet) -> AdmissibilityCertificate:
     """
     arr = int_set.elements
     missed: dict[int, int] = {}
-    for p in _primes_up_to_size(int_set.size):
+    for p in sieve(int_set.size).primes if int_set.size >= 2 else ():
         counts = np.bincount(arr % p, minlength=p)
         empty = np.flatnonzero(counts == 0)
         if empty.size == 0:

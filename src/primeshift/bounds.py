@@ -146,7 +146,7 @@ def verify_mertens(x_max: int) -> LemmaReport:
     min_margin = math.inf
     all_ok = True
     seeded = False
-    for q in sieve(x_max).primes:
+    for q in sieve(x_max).primes.tolist():
         if q == 2:
             continue
         if not seeded and q > MERTENS_MIN_X:

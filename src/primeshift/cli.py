@@ -28,7 +28,7 @@ from .bounds import (
     verify_proof_constants,
 )
 from .errors import ParseError, PrimeShiftError, ValidationError
-from .primes import sieve
+from .primes import prime_segments
 from .prune import greedy_prune
 from .representation import SEQUENCE_KINDS, gen_sequence, rep_search, romanoff_counts
 
@@ -117,17 +117,7 @@ def _run_prune(config: RunConfig):
         "stop_prime": trace.stop_prime,
         "final_size": trace.final_size,
         "final_set": trace.final_set.elements.tolist(),
-        "steps": [
-            {
-                "index": st.index,
-                "prime": st.prime,
-                "removed_residue": st.removed_residue,
-                "removed_count": st.removed_count,
-                "survivors_actual": st.survivors_actual,
-                "survivors_paper": st.survivors_paper,
-            }
-            for st in trace.steps
-        ],
+        "steps": [vars(st) for st in trace.steps],
     }
     text = (
         f"pruned {trace.input_size} -> {trace.final_size} elements "
@@ -139,22 +129,13 @@ def _run_prune(config: RunConfig):
 def _run_guarantee(config: RunConfig):
     int_set = parse_input_set(config.input_path)
     report = guarantee(int_set)
-    result = {
-        "ell": report.ell,
-        "ell_s": report.ell_s,
-        "s": report.s,
-        "p_s": report.p_s,
-        "m": report.m,
-        "theorem_bound": report.theorem_bound,
-        "satisfied": report.satisfied,
-    }
     text = (
         f"ell={report.ell} ell_s={report.ell_s} s={report.s} "
         f"m={report.m} bound={report.theorem_bound:.6f} "
         f"satisfied={str(report.satisfied).lower()}"
     )
     code = 0 if report.satisfied else 1
-    return result, _set_summary(config.input_path, int_set), code, text
+    return vars(report), _set_summary(config.input_path, int_set), code, text
 
 
 def _run_bound(config: RunConfig):
@@ -182,18 +163,7 @@ def _run_verify_lemmas(config: RunConfig):
     limit = config.params["mertens_limit"]
     reports = [verify_mertens(limit)] + verify_proof_constants()
     all_passed = all(r.passed for r in reports)
-    result = {
-        "reports": [
-            {
-                "name": r.name,
-                "checked_range": r.checked_range,
-                "margin": r.margin,
-                "passed": r.passed,
-            }
-            for r in reports
-        ],
-        "all_passed": all_passed,
-    }
+    result = {"reports": [vars(r) for r in reports], "all_passed": all_passed}
     lines = [
         f"{'PASS' if r.passed else 'FAIL'} {r.name} (margin {r.margin:.6g})"
         for r in reports
@@ -266,13 +236,13 @@ def _run_gen(config: RunConfig):
 
 def _run_primes(config: RunConfig):
     limit = config.params["limit"]
-    table = sieve(limit)
-    result = {
-        "limit": limit,
-        "count": table.count,
-        "largest": table.primes[-1] if table.primes else None,
-    }
-    text = f"{table.count} primes up to {limit} (largest {result['largest']})"
+    count, largest = 0, None
+    for segment in prime_segments(limit):
+        if segment.size:
+            count += segment.size
+            largest = int(segment[-1])
+    result = {"limit": limit, "count": count, "largest": largest}
+    text = f"{count} primes up to {limit} (largest {largest})"
     return result, {"limit": limit}, 0, text
 
 

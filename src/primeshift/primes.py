@@ -1,20 +1,17 @@
 """Prime generation, nth-prime lookup, and exact 64-bit primality testing.
 
 Every other module sources its primes here, and every prime flag comes
-from one numpy kernel, ``_flags``, which sieves an inclusive window
-lo..hi with the base primes it is given.  Those base primes live in
-one shared table that grows on demand under one lock; ``nth_prime``
-(1-indexed, p_1 = 2) reads the same table, and ``prime_flags`` never
-needs it past sqrt(WINDOW_VALUE_MAX).  ``sieve`` and ``prime_flags``
-both walk the kernel over ``_SEGMENT``-wide pieces, so the strided
-clears stay in cache and ``sieve``'s working memory follows the
-segment, not the limit.
+from one numpy kernel, ``_flags``, run one ``_SEGMENT`` at a time so its
+strided clears stay in cache.  Its base primes live in one shared table
+that grows on demand under one lock; ``nth_prime`` reads the same table,
+and ``prime_flags`` never needs it past sqrt(WINDOW_VALUE_MAX).  Primes
+are enumerated as int64: ``prime_segments`` yields one array per
+segment, and ``sieve`` concatenates them.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -38,16 +35,16 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimeTable:
-    """All primes up to ``limit`` inclusive; immutable, safe to share."""
+    """All primes up to ``limit`` inclusive, as one ascending read-only int64 array."""
 
     limit: int
-    primes: tuple[int, ...]
+    primes: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.primes)
+        return self.primes.size
 
 
 def _flags(lo: int, hi: int, base: list[int]) -> np.ndarray:
@@ -62,18 +59,15 @@ def _flags(lo: int, hi: int, base: list[int]) -> np.ndarray:
     return flags
 
 
-def _primes_in(lo: int, hi: int, base: list[int]) -> Iterator[int]:
-    """The primes in lo..hi, ascending, sieved _SEGMENT numbers at a time."""
-    step = _SEGMENT
-    return itertools.chain.from_iterable(
-        (start + np.flatnonzero(_flags(start, min(start + step - 1, hi), base))).tolist()
-        for start in range(lo, hi + 1, step)
-    )
+def _primes_in(lo: int, hi: int, base: list[int]) -> Iterator[np.ndarray]:
+    """The primes in lo..hi, ascending, as one int64 array per _SEGMENT numbers."""
+    for start in range(lo, hi + 1, _SEGMENT):
+        yield start + np.flatnonzero(_flags(start, min(start + _SEGMENT - 1, hi), base))
 
 
-# The shared base table, published as one (limit, primes) pair: every
-# prime <= limit, ascending.  Growth is guarded by the lock and builds a
-# new list; readers use whichever pair they loaded without locking.
+# The shared base table, published as one (limit, primes) pair: every prime
+# <= limit, ascending, as Python ints (the kernel's loop is slower on numpy
+# scalars).  Growth builds a new list under the lock; readers never lock.
 _lock = threading.Lock()
 _table: tuple[int, list[int]] = (2, [2])
 
@@ -88,7 +82,7 @@ def _base_primes(n: int) -> list[int]:
             while limit < n:
                 # Squaring at most keeps sqrt(top) inside the current table.
                 top = min(max(n, 2 * limit), limit * limit)
-                primes = [*primes, *_primes_in(limit + 1, top, primes)]
+                primes = primes + np.concatenate([*_primes_in(limit + 1, top, primes)]).tolist()
                 limit = top
             _table = (limit, primes)
     return primes
@@ -144,12 +138,18 @@ def _piece(lo: int, hi: int) -> np.ndarray:
     return flags
 
 
-def sieve(limit: int) -> PrimeTable:
-    """Enumerate all primes in [2, limit], one segment at a time."""
+def prime_segments(limit: int) -> Iterator[np.ndarray]:
+    """The primes in [2, limit], ascending, one int64 array per segment; checks ``limit`` now."""
     if limit < 2 or limit > SIEVE_LIMIT_MAX:
         raise BoundsError(f"sieve limit must be in [2, 2^40], got {limit}")
-    base = _base_primes(math.isqrt(limit))
-    return PrimeTable(limit, tuple(_primes_in(2, limit, base)))
+    return _primes_in(2, limit, _base_primes(math.isqrt(limit)))
+
+
+def sieve(limit: int) -> PrimeTable:
+    """All primes in [2, limit]: the concatenated ``prime_segments(limit)``."""
+    primes = np.concatenate([*prime_segments(limit)])
+    primes.setflags(write=False)
+    return PrimeTable(limit, primes)
 
 
 def _nth_upper_bound(i: int) -> int:

@@ -181,12 +181,13 @@ def gen_sequence(kind: str, count: int, seed_ratio: int = 2) -> IntegerSet:
             raise DomainError(f"2^{count} overflows the 64-bit range")
         return IntegerSet(tuple(1 << i for i in range(1, count + 1)))
     if kind == "two_pow_prime":
-        top = nth_prime(count)
-        if top > 62:
-            raise DomainError(f"2^{top} overflows the 64-bit range")
+        # p_18 = 61 is the last prime <= 62; check count before nth_prime sieves.
+        if count > 18:
+            raise DomainError(f"2^p_{count} overflows the 64-bit range: only p_1..p_18 are <= 62")
         return IntegerSet(tuple(1 << nth_prime(i) for i in range(1, count + 1)))
     if seed_ratio < 2:
         raise DomainError(f"seed_ratio must be >= 2, got {seed_ratio}")
-    if seed_ratio**count > INT64_MAX:
+    # Every ratio >= 2 overflows by count 63; check that before the big power.
+    if count > 62 or seed_ratio**count > INT64_MAX:
         raise DomainError(f"{seed_ratio}^{count} overflows the 64-bit range")
     return IntegerSet(tuple(seed_ratio**i for i in range(1, count + 1)))

@@ -75,6 +75,10 @@ class TestIntegerSet:
             IntegerSet.from_values([9, 3, 7, 9, 3])
         with pytest.raises(ValidationError, match="; 1 follows 3$"):
             IntegerSet((0, 3, 1, 2))
+        with pytest.raises(ValidationError, match=r"one-dimensional, got shape \(2, 2\)$"):
+            IntegerSet(np.array([[1, 5], [7, 9]]))
+        with pytest.raises(ValidationError, match=r"one-dimensional, got shape \(\)$"):
+            IntegerSet(np.array(5))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, unique=True))

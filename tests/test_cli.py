@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import primeshift
 from primeshift import (
     ADMISSIBLE,
     IntegerSet,
@@ -25,6 +28,25 @@ def write_set(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def cli_env():
+    """The environment for a ``python -m primeshift.cli`` child: it imports the same package."""
+    env = dict(os.environ)
+    paths = [str(Path(primeshift.__file__).resolve().parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return env
+
+
+# Linux carries the spawning process's peak RSS into a child's ru_maxrss
+# across exec, so a memory test starts its child from this small process
+# rather than from the test runner, and reads the child's own wait4 usage.
+_SPAWN_AND_MEASURE = (
+    "import os, subprocess, sys; "
+    "child = subprocess.Popen(sys.argv[1:]); "
+    "_, status, usage = os.wait4(child.pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)"
+)
 
 
 def run(subcommand, input_path=None, fmt="json", **params):
@@ -235,6 +257,24 @@ class TestMain:
             [sys.executable, "-m", "primeshift.cli", "check", path, "--format", "text"],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert proc.returncode == 0
         assert "admissible" in proc.stdout
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+    def test_primes_memory_follows_the_segment(self):
+        # 5761455 primes to 10^8 would be 46 MB as int64 alone; the count and
+        # the largest prime need only one segment at a time.
+        proc = subprocess.run(
+            [sys.executable, "-c", _SPAWN_AND_MEASURE, sys.executable, "-m", "primeshift.cli"]
+            + ["primes", "--limit", str(10**8)],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+        )
+        code, max_rss_kb = map(int, proc.stderr.split())
+        assert code == 0
+        result = json.loads(proc.stdout)["result"]
+        assert (result["count"], result["largest"]) == (5761455, 99999989)
+        assert max_rss_kb < 100 * 1024

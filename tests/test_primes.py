@@ -15,7 +15,9 @@ from support import byte_sieve, trial_division_is_prime, trial_division_primes
 
 def test_sieve_ten():
     table = sieve(10)
-    assert table.primes == (2, 3, 5, 7)
+    assert table.primes.dtype == np.int64
+    assert not table.primes.flags.writeable
+    assert table.primes.tolist() == [2, 3, 5, 7]
     assert table.count == 4
     assert table.limit == 10
 
@@ -47,12 +49,17 @@ def test_sieve_bounds_errors():
         sieve(1)
     with pytest.raises(BoundsError):
         sieve(2**40 + 1)
+    # prime_segments is not itself a generator: the check runs before any iteration.
+    with pytest.raises(BoundsError):
+        primes_mod.prime_segments(1)
+    with pytest.raises(BoundsError):
+        primes_mod.prime_segments(2**40 + 1)
 
 
 @pytest.mark.parametrize("segment", [2, 3, 64, 97])
 def test_tiny_segments_match_oracles(segment, monkeypatch):
     # A tiny segment and an empty shared table force many segment edges
-    # in sieve() and in every growth of the table.
+    # in prime_segments(), sieve() and every growth of the table.
     monkeypatch.setattr(primes_mod, "_SEGMENT", segment)
     monkeypatch.setattr(primes_mod, "_table", (2, [2]))
     limit = 3000
@@ -63,8 +70,11 @@ def test_tiny_segments_match_oracles(segment, monkeypatch):
     assert type(nth_prime(60)) is int
     for top in (2, 3, 4, segment, segment + 1, 2 * segment + 1, 1000, limit):
         table = sieve(top)
-        assert list(table.primes) == [p for p in oracle if p <= top]
-        assert all(type(p) is int for p in table.primes)
+        assert table.primes.tolist() == [p for p in oracle if p <= top]
+        assert table.primes.dtype == np.int64 and not table.primes.flags.writeable
+        segments = list(primes_mod.prime_segments(top))
+        assert all(s.dtype == np.int64 for s in segments)
+        assert np.array_equal(np.concatenate(segments), table.primes)
     edges = [segment * k + d for k in (0, 1, 7) for d in (-1, 0, 1)]
     windows = [(-5, 0), (-3, 1), (-2, 2), (0, 2), (1, 2), (2, 2), (-7, 40)]
     windows += [(e, e + segment) for e in edges if e >= 0]

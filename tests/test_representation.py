@@ -14,6 +14,7 @@ from primeshift import (
     rep_search,
     romanoff_counts,
 )
+from primeshift import primes as primes_mod
 
 from support import brute_rep_count, byte_sieve
 
@@ -192,7 +193,7 @@ class TestGenSequence:
         chain = gen_sequence("divisor_chain", 8, 5).elements
         assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
 
-    def test_limits(self):
+    def test_limits(self, monkeypatch):
         assert gen_sequence("powers_of_two", 62).elements[-1] == 2**62
         with pytest.raises(DomainError):
             gen_sequence("powers_of_two", 63)
@@ -201,6 +202,15 @@ class TestGenSequence:
             gen_sequence("two_pow_prime", 19)
         with pytest.raises(DomainError):
             gen_sequence("divisor_chain", 63, 2)
+        assert gen_sequence("divisor_chain", 62, 2).elements[-1] == 2**62
+        # Rejected on count alone, before building a 900000-digit power.
+        with pytest.raises(DomainError):
+            gen_sequence("divisor_chain", 10**5, 10**9)
+        # Rejected on count alone, before nth_prime grows the shared table.
+        monkeypatch.setattr(primes_mod, "_table", (2, [2]))
+        with pytest.raises(DomainError):
+            gen_sequence("two_pow_prime", 10**6)
+        assert primes_mod._table == (2, [2])
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
