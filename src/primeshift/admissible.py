@@ -9,6 +9,7 @@ are admissible for free and carry no witness.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -23,6 +24,13 @@ INT64_MAX = 2**63 - 1
 
 ADMISSIBLE = "admissible"
 INADMISSIBLE = "inadmissible"
+
+# ResidueClasses first looks for an empty class among classes
+# [0, window) only, window = _PROBE_FACTOR * e^(n/p).  Were n values
+# spread uniformly over p classes, each class would be empty with
+# probability e^(-n/p), so the window would hold no empty class with
+# probability about e^(-_PROBE_FACTOR).
+_PROBE_FACTOR = 8.0
 
 
 def _int64_array(values: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -102,6 +110,78 @@ class AdmissibilityCertificate:
     covered_prime: int | None = None
 
 
+class ResidueClasses:
+    """Residue classes modulo successive primes of a shrinking subset of one set.
+
+    This is the one place residues are computed.  They are taken on
+    uint64 offsets u = a - a_min, which cannot overflow (the spread is at
+    most 2^64 - 1), as u - (u // p) * p into buffers reused from prime to
+    prime; counts by offset residue are rolled by a_min mod p into
+    counts by class.
+    """
+
+    def __init__(self, elements: np.ndarray) -> None:
+        u = elements.view(np.uint64)
+        self._base = u[0]
+        self._offsets = u - u[0]
+        self._quot = np.empty_like(self._offsets)
+        self._res = np.empty_like(self._offsets)
+        self._min = int(elements[0])
+        self._p = 1
+        self._shift = 0
+
+    @property
+    def size(self) -> int:
+        return self._offsets.size
+
+    def elements(self) -> np.ndarray:
+        """The surviving elements, ascending, as a fresh int64 array."""
+        return (self._offsets + self._base).view(np.int64)
+
+    def smallest_empty(self, p: int) -> tuple[int | None, np.ndarray | None]:
+        """``(r, None)`` for the smallest class r mod p that holds no element,
+        else ``(None, counts)`` with the count of every class in [0, p).
+
+        When the probe window is narrower than p, only the classes below it
+        are counted first; the full count runs only if all of them are hit.
+        """
+        n = self._offsets.size
+        u, q, r = self._offsets, self._quot[:n], self._res[:n]
+        p_u = np.uint64(p)
+        np.floor_divide(u, p_u, out=q)
+        np.multiply(q, p_u, out=q)
+        np.subtract(u, q, out=r)
+        # Class c mod p holds the offsets with residue (c + shift) mod p.
+        self._p, self._shift = p, -self._min % p
+        window = _PROBE_FACTOR * math.exp(min(n / p, 700.0))
+        if window < p:
+            found = self._probe(r, math.ceil(window))
+            if found is not None:
+                return found, None
+        counts = np.roll(np.bincount(r.view(np.int64), minlength=p), -self._shift)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            return int(empty[0]), None
+        return None, counts
+
+    def _probe(self, r: np.ndarray, window: int) -> int | None:
+        """The smallest empty class below ``window`` (< p), or None when all are hit."""
+        p, shift = self._p, self._shift
+        end = shift + window
+        if end <= p:
+            d = np.subtract(r, np.uint64(shift), out=self._quot[: r.size])
+            classes = d[d < window]
+        else:
+            classes = (r[(r >= shift) | (r < end - p)] + np.uint64(p - shift)) % np.uint64(p)
+        empty = np.flatnonzero(np.bincount(classes.view(np.int64), minlength=window) == 0)
+        return int(empty[0]) if empty.size else None
+
+    def drop(self, residue: int) -> None:
+        """Remove the elements in class ``residue`` modulo the prime last counted."""
+        n = self._offsets.size
+        self._offsets = self._offsets[self._res[:n] != (residue + self._shift) % self._p]
+
+
 def check_admissible(int_set: IntegerSet) -> AdmissibilityCertificate:
     """Decide admissibility and produce a witness per examined prime.
 
@@ -109,12 +189,12 @@ def check_admissible(int_set: IntegerSet) -> AdmissibilityCertificate:
     certificates are deterministic.  Residues of negative elements are
     normalized into [0, p).
     """
-    arr = int_set.elements
     missed: dict[int, int] = {}
-    for p in sieve(int_set.size).primes if int_set.size >= 2 else ():
-        counts = np.bincount(arr % p, minlength=p)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size == 0:
-            return AdmissibilityCertificate(INADMISSIBLE, {}, int(p))
-        missed[int(p)] = int(empty[0])
+    if int_set.size >= 2:
+        classes = ResidueClasses(int_set.elements)
+        for p in sieve(int_set.size).primes.tolist():
+            empty, _ = classes.smallest_empty(p)
+            if empty is None:
+                return AdmissibilityCertificate(INADMISSIBLE, {}, p)
+            missed[p] = empty
     return AdmissibilityCertificate(ADMISSIBLE, missed, None)

@@ -15,9 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Any
+
+import numpy as np
 
 from .admissible import IntegerSet, check_admissible
 from .bounds import (
@@ -46,12 +50,53 @@ class RunConfig:
     output_format: str = "json"
 
 
+# A line holding a '#' after something that is not whitespace: np.loadtxt
+# reads "5 # c" as 5, the line parser rejects it.
+_INLINE_COMMENT = re.compile(r"^[^\S\n]*[^\s#].*#", re.MULTILINE)
+
+
 def parse_input_set(path: str) -> IntegerSet:
     """Read newline-separated integers; '#' lines and blanks are skipped.
 
     Input is sorted; duplicate values are an error because downstream
     math assumes distinct elements.
     """
+    values = _loadtxt_values(path)
+    if values is None:
+        values = _parse_lines(path)
+    if not len(values):
+        raise ValidationError(f"{path}: no integers found")
+    return IntegerSet.from_values(values)
+
+
+def _loadtxt_values(path: str) -> np.ndarray | None:
+    """The file's integers read by np.loadtxt, or None if it may read them
+    otherwise than ``_parse_lines``.
+
+    np.loadtxt is given only ASCII text with no '#' after a value, and
+    its result counts only if every line held at most one value.  Within
+    those limits it accepts what ``int`` accepts after ``str.strip``; it
+    rejects the rest ('_' separators, values past int64), which the line
+    parser then reads or reports.  Past ASCII it also splits on Unicode
+    whitespace and can crash on some astral characters (numpy 2.4).  Any
+    ValueError here, undecodable UTF-8 included, leaves the file to the
+    line parser, which raises what it always raised.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+            if not text.isascii() or ("#" in text and _INLINE_COMMENT.search(text)):
+                return None
+            fh.seek(0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file with no data
+                values = np.loadtxt(fh, dtype=np.int64, comments="#", ndmin=2)
+    except ValueError:
+        return None
+    return values[:, 0] if values.shape[1] == 1 else None
+
+
+def _parse_lines(path: str) -> list[int]:
     values: list[int] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -62,9 +107,7 @@ def parse_input_set(path: str) -> IntegerSet:
                 values.append(int(line))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: not an integer: {line!r}") from exc
-    if not values:
-        raise ValidationError(f"{path}: no integers found")
-    return IntegerSet.from_values(values)
+    return values
 
 
 def _jsonable(value: Any) -> Any:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .admissible import IntegerSet
+from .admissible import IntegerSet, ResidueClasses
 from .primes import nth_prime
 
 
@@ -60,36 +60,34 @@ def greedy_prune(int_set: IntegerSet) -> PruneTrace:
     proxy, so the returned admissible set is as large as the greedy
     process allows.
     """
-    arr = int_set.elements
+    classes = ResidueClasses(int_set.elements)
     proxy = int_set.size
     steps: list[PruneStep] = []
     t = 0
     while True:
         p_next = nth_prime(t + 1)
-        if arr.size < p_next:
+        if classes.size < p_next:
             break
         t += 1
         p = p_next
         proxy -= proxy // p
-        residues = arr % p
-        counts = np.bincount(residues, minlength=p)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size:
-            removed_residue = int(empty[0])
+        empty, counts = classes.smallest_empty(p)
+        if empty is not None:
+            removed_residue = empty
             removed_count = 0
         else:
             smallest = counts.min()
             removed_residue = int(np.flatnonzero(counts == smallest)[-1])
-            arr = arr[residues != removed_residue]
+            classes.drop(removed_residue)
             removed_count = int(smallest)
         steps.append(
-            PruneStep(t, p, removed_residue, removed_count, int(arr.size), proxy)
+            PruneStep(t, p, removed_residue, removed_count, classes.size, proxy)
         )
     return PruneTrace(
         input_size=int_set.size,
         steps=tuple(steps),
         s=t,
-        final_set=IntegerSet(arr),
+        final_set=IntegerSet(classes.elements()),
         stop_prime=nth_prime(t + 1),
     )
 

@@ -81,8 +81,10 @@ def rep_count(n: int, int_set: IntegerSet) -> int:
 
 
 def _chunk_counts(elements: list[int], c_lo: int, c_hi: int) -> np.ndarray:
+    # A count is at most len(elements): add the uint8 flags in the
+    # narrowest dtype that holds that, and widen once per chunk.
     width = c_hi - c_lo + 1
-    counts = np.zeros(width, dtype=np.int64)
+    counts = np.zeros(width, dtype=np.min_scalar_type(len(elements)))
     a_min, a_max = elements[0], elements[-1]
     if a_max - a_min <= _SPREAD_MAX:
         w_lo = c_lo - a_max
@@ -93,7 +95,7 @@ def _chunk_counts(elements: list[int], c_lo: int, c_hi: int) -> np.ndarray:
     else:
         for a in elements:
             counts += prime_flags(c_lo - a, c_hi - a)
-    return counts
+    return counts.astype(np.int64)
 
 
 def _frozen(parts: list[np.ndarray]) -> np.ndarray:

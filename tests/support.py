@@ -66,6 +66,37 @@ def brute_rep_count(n: int, elements, flags: bytearray) -> int:
     return count
 
 
+def greedy_prune_oracle(elements):
+    """The greedy prune by its definition, on Python ints.
+
+    Returns (steps, s, stop_prime, survivors); each step is the tuple
+    (index, prime, removed_residue, removed_count, survivors_actual,
+    survivors_paper).  A prime with an empty class records its smallest
+    empty residue and removes nothing; otherwise the least-populated
+    class with the largest residue is removed.
+    """
+    survivors = sorted(elements)
+    proxy = len(survivors)
+    steps = []
+    p = 2
+    while len(survivors) >= p:
+        proxy -= proxy // p
+        counts = [0] * p
+        for a in survivors:
+            counts[a % p] += 1
+        if 0 in counts:
+            residue, removed = counts.index(0), 0
+        else:
+            removed = min(counts)
+            residue = max(r for r in range(p) if counts[r] == removed)
+            survivors = [a for a in survivors if a % p != residue]
+        steps.append((len(steps) + 1, p, residue, removed, len(survivors), proxy))
+        p += 1
+        while not trial_division_is_prime(p):
+            p += 1
+    return steps, len(steps), p, survivors
+
+
 def residues_all_covered(elements, p: int) -> bool:
     return len({a % p for a in elements}) == p
 

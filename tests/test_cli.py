@@ -5,17 +5,21 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import primeshift
 from primeshift import (
     ADMISSIBLE,
     IntegerSet,
     ParseError,
+    PrimeShiftError,
     ValidationError,
     check_admissible,
     greedy_prune,
     nth_prime,
 )
+from primeshift import cli
 from primeshift.cli import (
     RunConfig,
     dispatch,
@@ -87,6 +91,56 @@ class TestParseInputSet:
         path = write_set(tmp_path, "f.txt", "# nothing\n\n")
         with pytest.raises(ValidationError):
             parse_input_set(path)
+
+    def test_plain_files_take_the_loadtxt_path(self, tmp_path):
+        path = write_set(tmp_path, "g.txt", "# header\n 12\n\n-9223372036854775808\r\n\t+7\n  # note\n")
+        assert cli._loadtxt_values(path).tolist() == [12, -(2**63), 7]
+        assert parse_input_set(path).elements.tolist() == [-(2**63), 7, 12]
+
+    # np.loadtxt reads these as 5 and as (1, 2); the line parser rejects them.
+    @pytest.mark.parametrize("text, line", [("1\n5 # c\n", 2), ("3\n1 2\n", 2)])
+    def test_loadtxt_only_forms_stay_parse_errors(self, tmp_path, text, line):
+        path = write_set(tmp_path, "h.txt", text)
+        with pytest.raises(ParseError, match=f":{line}: not an integer"):
+            parse_input_set(path)
+
+    # np.loadtxt rejects these; int() reads the first two, and the third
+    # is outside the 64-bit range.
+    @pytest.mark.parametrize("text, values", [("1_000\n", [1000]), ("\u0663\n", [3])])
+    def test_int_only_forms_keep_their_values(self, tmp_path, text, values):
+        path = write_set(tmp_path, "i.txt", text)
+        assert parse_input_set(path).elements.tolist() == values
+
+    def test_past_int64_stays_a_validation_error(self, tmp_path):
+        path = write_set(tmp_path, "j.txt", "1\n9223372036854775808\n")
+        with pytest.raises(ValidationError, match="9223372036854775808 outside the 64-bit range"):
+            parse_input_set(path)
+
+
+# Half the tokens are digits and newlines, so that many files are plain
+# enough for np.loadtxt.
+PARSE_TOKENS = st.sampled_from([*"0123456789", "\n"]) | st.sampled_from(
+    ["-", "+", " ", "\t", "#", "_", ",", ".", "\r\n", "\r", "\u0663"]
+    + [str(v) for v in (2**63 - 1, 2**63, -(2**63), -(2**63) - 1)]
+)
+
+
+def parse_outcome(path):
+    try:
+        return parse_input_set(path).elements.tolist()
+    except PrimeShiftError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(PARSE_TOKENS, max_size=40))
+def test_loadtxt_path_matches_the_line_parser(tmp_path_factory, tokens):
+    path = tmp_path_factory.getbasetemp() / "differential.txt"
+    path.write_bytes("".join(tokens).encode("utf-8"))
+    fast = parse_outcome(str(path))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_loadtxt_values", lambda path: None)
+        assert fast == parse_outcome(str(path))
 
 
 class TestDispatch:

@@ -1,6 +1,9 @@
+import contextlib
+import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +16,20 @@ from primeshift import (
     nth_prime,
     survivor_lower_bound,
 )
+from primeshift import admissible
+from primeshift.admissible import INT64_MAX, INT64_MIN, ResidueClasses
 
-from support import brute_force_admissible, proxy_sequence, trial_division_primes
+from support import (
+    brute_force_admissible,
+    greedy_prune_oracle,
+    proxy_sequence,
+    trial_division_primes,
+)
+
+# Values for admissible._PROBE_FACTOR.  "probe" is the default; under
+# "narrow" the windows span a few classes, so the probe often misses and
+# the full count decides; "off" never probes.
+PROBE_FACTORS = {"probe": admissible._PROBE_FACTOR, "narrow": 0.25, "off": math.inf}
 
 
 def test_singleton_stops_immediately():
@@ -22,7 +37,7 @@ def test_singleton_stops_immediately():
     assert trace.s == 0
     assert trace.steps == ()
     assert trace.stop_prime == 2
-    assert trace.final_set.elements == (0,)
+    assert trace.final_set.elements.tolist() == [0]
     assert trace.last_prime is None
 
 
@@ -131,3 +146,79 @@ def test_pruned_sets_admissible(xs):
     trace = greedy_prune(IntegerSet(tuple(sorted(xs))))
     assert check_admissible(trace.final_set).verdict == ADMISSIBLE
     assert trace.final_size >= survivor_lower_bound(len(xs), trace.s)
+
+
+@contextlib.contextmanager
+def probe_factor(mode):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(admissible, "_PROBE_FACTOR", PROBE_FACTORS[mode])
+        yield
+
+
+def assert_matches_oracles(xs):
+    int_set = IntegerSet.from_values(xs)
+    trace = greedy_prune(int_set)
+    steps, s, stop_prime, survivors = greedy_prune_oracle(xs)
+    assert [tuple(vars(step).values()) for step in trace.steps] == steps
+    assert (trace.s, trace.stop_prime) == (s, stop_prime)
+    assert trace.final_set.elements.tolist() == survivors
+    # check_admissible reads the same residue classes: on the input
+    # (covered or not) and on the admissible survivors.
+    for elements in (sorted(xs), survivors):
+        missed, covered = {}, None
+        for p in trial_division_primes(len(elements)):
+            empty = [r for r in range(p) if all(a % p != r for a in elements)]
+            if not empty:
+                missed, covered = {}, p
+                break
+            missed[p] = empty[0]
+        cert = check_admissible(IntegerSet(elements))
+        assert (cert.missed_residues, cert.covered_prime) == (missed, covered)
+
+
+int64s = st.integers(min_value=INT64_MIN, max_value=INT64_MAX)
+
+
+@st.composite
+def mixed_sign_values(draw, min_size):
+    # Multiples of 6, 30 or 210 miss classes mod the primes dividing it,
+    # so survivors stay many enough for the probe to run.
+    scale = draw(st.sampled_from([1, 6, 30, 210]))
+    small = st.integers(-300, 300).map(lambda x: x * scale)
+    return draw(st.lists(small | int64s, min_size=min_size, max_size=60, unique=True))
+
+
+@pytest.mark.parametrize("mode", PROBE_FACTORS)
+@settings(max_examples=100, deadline=None)
+@given(mixed_sign_values(min_size=1))
+def test_trace_matches_oracle_on_mixed_signs(mode, xs):
+    with probe_factor(mode):
+        assert_matches_oracles(xs)
+
+
+@pytest.mark.parametrize("mode", PROBE_FACTORS)
+@settings(max_examples=60, deadline=None)
+@given(mixed_sign_values(min_size=0))
+def test_trace_matches_oracle_across_the_int64_range(mode, xs):
+    # Offsets from -2^63 reach 2^64 - 1.
+    with probe_factor(mode):
+        assert_matches_oracles(sorted({INT64_MIN, INT64_MAX, *xs}))
+
+
+@pytest.mark.parametrize(
+    "mode, outcomes", [("probe", {"hit"}), ("narrow", {"hit", "miss"}), ("off", set())]
+)
+def test_probe_modes_are_reached(mode, outcomes):
+    seen = set()
+    probe = ResidueClasses._probe
+
+    def spy(self, r, window):
+        found = probe(self, r, window)
+        seen.add("miss" if found is None else "hit")
+        return found
+
+    xs = [210 * x + 1 for x in random.Random(13).sample(range(-300, 300), 60)]
+    with probe_factor(mode), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ResidueClasses, "_probe", spy)
+        assert_matches_oracles(xs)
+    assert seen == outcomes
