@@ -104,13 +104,14 @@ class TestParseInputSet:
         with pytest.raises(ParseError, match=f":{line}: not an integer"):
             parse_input_set(path)
 
-    # np.loadtxt rejects these; int() reads the first two, and the third
-    # is outside the 64-bit range.
+    # np.loadtxt rejects these; int() reads them.
     @pytest.mark.parametrize("text, values", [("1_000\n", [1000]), ("\u0663\n", [3])])
     def test_int_only_forms_keep_their_values(self, tmp_path, text, values):
         path = write_set(tmp_path, "i.txt", text)
         assert parse_input_set(path).elements.tolist() == values
 
+    # np.loadtxt rejects it too; the line parser reads it and
+    # IntegerSet rejects it.
     def test_past_int64_stays_a_validation_error(self, tmp_path):
         path = write_set(tmp_path, "j.txt", "1\n9223372036854775808\n")
         with pytest.raises(ValidationError, match="9223372036854775808 outside the 64-bit range"):

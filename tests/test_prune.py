@@ -181,8 +181,8 @@ int64s = st.integers(min_value=INT64_MIN, max_value=INT64_MAX)
 
 @st.composite
 def mixed_sign_values(draw, min_size):
-    # Multiples of 6, 30 or 210 miss classes mod the primes dividing it,
-    # so survivors stay many enough for the probe to run.
+    # Multiples of 6, 30 or 210 miss a class mod each prime dividing the
+    # scale, so enough survivors remain for the probe to run.
     scale = draw(st.sampled_from([1, 6, 30, 210]))
     small = st.integers(-300, 300).map(lambda x: x * scale)
     return draw(st.lists(small | int64s, min_size=min_size, max_size=60, unique=True))
