@@ -2,16 +2,18 @@
 
 Every other module sources its primes here, and every prime flag comes
 from one numpy kernel, ``_flags``, run one ``_SEGMENT`` at a time so its
-strided clears stay in cache.  Its base primes live in one shared table
-that grows on demand under one lock; ``nth_prime`` reads the same table,
-and ``prime_flags`` never needs it past sqrt(WINDOW_VALUE_MAX).  Primes
-are enumerated as int64: ``prime_segments`` yields one array per
-segment, and ``sieve`` concatenates them.
+strided clears stay in cache.  It starts each piece from the tiled
+pattern of the numbers coprime to 2*3*5*7*11*13, then clears the odd
+multiples of each larger base prime.  The base primes live in one shared
+int64 table that grows on demand under one lock; ``nth_prime`` reads the
+same table, and ``prime_flags`` never needs it past
+sqrt(WINDOW_VALUE_MAX).  Primes are enumerated as int64:
+``prime_segments`` yields one array per segment, and ``sieve``
+concatenates them.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -47,32 +49,48 @@ class PrimeTable:
         return self.primes.size
 
 
-def _flags(lo: int, hi: int, base: list[int]) -> np.ndarray:
-    """uint8 flags for lo..hi (1 iff prime); ``base`` holds every prime <= sqrt(hi)."""
-    flags = np.ones(hi - lo + 1, dtype=np.uint8)
+# The wheel: _COPRIME[r] is 1 iff r is coprime to every prime in _WHEEL_PRIMES.
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+_WHEEL = math.prod(_WHEEL_PRIMES)
+_COPRIME = (np.gcd(np.arange(_WHEEL), _WHEEL) == 1).astype(np.uint8)
+
+
+def _flags(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """uint8 flags for lo..hi (1 iff prime); ``base`` holds every prime <= sqrt(hi), ascending."""
+    width = hi - lo + 1
+    if hi < 2:
+        return np.zeros(width, dtype=np.uint8)
+    flags = np.resize(np.roll(_COPRIME, -(lo % _WHEEL)), width)
+    for p in _WHEEL_PRIMES:
+        if lo <= p <= hi:
+            flags[p - lo] = 1
     flags[: max(0, 2 - lo)] = 0
-    for p in base:
-        if p * p > hi:
-            break
-        start = max(p * p, -(-lo // p) * p)
-        flags[start - lo :: p] = 0
+    # Offsets from s, not values: s + offset may pass 2^63 - 1 where it is never stored.
+    s = max(lo, 2)
+    ps = base[len(_WHEEL_PRIMES) : np.searchsorted(base, math.isqrt(hi), side="right")]
+    o = np.maximum(-s % ps, ps * ps - s)  # first multiple >= max(p^2, s)
+    o += ps * ((o + (s & 1) + 1) & 1)  # the first odd one: the even ones are already clear
+    o += s - lo
+    hit = o < width
+    for start, step in zip(o[hit].tolist(), (2 * ps[hit]).tolist()):
+        flags[start::step] = 0
     return flags
 
 
-def _primes_in(lo: int, hi: int, base: list[int]) -> Iterator[np.ndarray]:
+def _primes_in(lo: int, hi: int, base: np.ndarray) -> Iterator[np.ndarray]:
     """The primes in lo..hi, ascending, as one int64 array per _SEGMENT numbers."""
     for start in range(lo, hi + 1, _SEGMENT):
-        yield start + np.flatnonzero(_flags(start, min(start + _SEGMENT - 1, hi), base))
+        yield start + np.flatnonzero(_flags(start, min(start + _SEGMENT - 1, hi), base).view(bool))
 
 
 # The shared base table, published as one (limit, primes) pair: every prime
-# <= limit, ascending, as Python ints (the kernel's loop is slower on numpy
-# scalars).  Growth builds a new list under the lock; readers never lock.
+# <= limit, ascending, as one int64 array.  Growth builds a new array under
+# the lock and never writes to a published one; readers never lock.
 _lock = threading.Lock()
-_table: tuple[int, list[int]] = (2, [2])
+_table: tuple[int, np.ndarray] = (2, np.array([2], dtype=np.int64))
 
 
-def _base_primes(n: int) -> list[int]:
+def _base_primes(n: int) -> np.ndarray:
     """The shared table, grown to hold every prime <= n (it may hold more)."""
     global _table
     limit, primes = _table
@@ -82,7 +100,7 @@ def _base_primes(n: int) -> list[int]:
             while limit < n:
                 # Squaring at most keeps sqrt(top) inside the current table.
                 top = min(max(n, 2 * limit), limit * limit)
-                primes = primes + np.concatenate([*_primes_in(limit + 1, top, primes)]).tolist()
+                primes = np.concatenate([primes, *_primes_in(limit + 1, top, primes)])
                 limit = top
             _table = (limit, primes)
     return primes
@@ -131,7 +149,7 @@ def _piece(lo: int, hi: int) -> np.ndarray:
     # a composite with no factor <= bound.
     bound = min(hi - lo + 1, math.isqrt(WINDOW_VALUE_MAX))
     base = _base_primes(bound)
-    flags = _flags(lo, hi, base[: bisect.bisect_right(base, bound)])
+    flags = _flags(lo, hi, base[: np.searchsorted(base, bound, side="right")])
     for i in np.flatnonzero(flags).tolist():
         if not is_prime(lo + i):
             flags[i] = 0
@@ -167,7 +185,7 @@ def nth_prime(i: int) -> int:
     primes = _table[1]
     if i > len(primes):
         primes = _base_primes(_nth_upper_bound(i))
-    return primes[i - 1]
+    return int(primes[i - 1])
 
 
 def is_prime(n: int) -> bool:

@@ -2,12 +2,13 @@
 
 The count for n against a set A is the number of a in A with n - a
 prime.  ``rep_search`` evaluates it for every n in a range by adding
-shifted slices of prime flags, one per element: from one shared window
-when the elements are close together, else from one window per element.
-Ranges are processed in chunks, and each chunk keeps only its nonzero
-counts, so memory follows the chunk size and the represented n, not the
-range.  ``prime_flags`` is exact for every 64-bit window, so no path
-tests values one at a time.
+shifted slices of prime flags, one per element.  Within each chunk the
+elements fall into runs whose windows overlap or touch, and each run
+shares one prime window, so the sieve covers exactly the union of the
+elements' windows.  Each chunk keeps only its nonzero counts, so memory
+follows the chunk size and the represented n, not the range.
+``prime_flags`` is exact for every 64-bit window, so no path tests
+values one at a time.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ RANGE_WIDTH_MAX = 10**9
 SEQUENCE_KINDS = ("powers_of_two", "divisor_chain", "two_pow_prime")
 
 _CHUNK = 1 << 22
-# Widest min..max element spread for a single shared prime window per
-# chunk; beyond it each element gets its own window.
+# Widest min..max element spread within one run, which caps one shared
+# prime window at _SPREAD_MAX + _CHUNK bytes.
 _SPREAD_MAX = 1 << 26
 
 
@@ -81,21 +82,24 @@ def rep_count(n: int, int_set: IntegerSet) -> int:
 
 
 def _chunk_counts(elements: list[int], c_lo: int, c_hi: int) -> np.ndarray:
-    # A count is at most len(elements): add the uint8 flags in the
-    # narrowest dtype that holds that, and widen once per chunk.
+    """Counts for c_lo..c_hi in the narrowest unsigned dtype that holds len(elements)."""
     width = c_hi - c_lo + 1
     counts = np.zeros(width, dtype=np.min_scalar_type(len(elements)))
-    a_min, a_max = elements[0], elements[-1]
-    if a_max - a_min <= _SPREAD_MAX:
-        w_lo = c_lo - a_max
-        flags = prime_flags(w_lo, c_hi - a_min)
-        for a in elements:
-            off = (c_lo - a) - w_lo
-            counts += flags[off : off + width]
-    else:
-        for a in elements:
-            counts += prime_flags(c_lo - a, c_hi - a)
-    return counts.astype(np.int64)
+    # Element a reads the window c_lo - a..c_hi - a.  A run breaks where a
+    # gap leaves a hole between neighbouring windows, or where its spread
+    # would pass _SPREAD_MAX.
+    runs: list[list[int]] = []
+    for a in elements:
+        if runs and a - runs[-1][-1] <= width and a - runs[-1][0] <= _SPREAD_MAX:
+            runs[-1].append(a)
+        else:
+            runs.append([a])
+    for run in runs:
+        a_max = run[-1]
+        flags = prime_flags(c_lo - a_max, c_hi - run[0])
+        for a in run:
+            counts += flags[a_max - a : a_max - a + width]
+    return counts
 
 
 def _frozen(parts: list[np.ndarray]) -> np.ndarray:
@@ -128,14 +132,15 @@ def rep_search(
         counts = _chunk_counts(elements, c_lo, c_hi)
         # Any global record is a record within its chunk, so per-chunk
         # winners are enough to merge exactly; a winner's count is at
-        # least the chunk's k-th largest.
+        # least the chunk's k-th largest.  Counts are unsigned: widen what
+        # is kept, and before negating.
         k = min(top_k, counts.size)
         top = np.flatnonzero(counts >= np.partition(counts, -k)[-k])
-        order = top[np.argsort(-counts[top], kind="stable")][:top_k]
+        order = top[np.argsort(-counts[top].astype(np.int64), kind="stable")][:top_k]
         candidates.extend((int(counts[i]), c_lo + int(i)) for i in order)
         nz = np.flatnonzero(counts)
         offsets.append(nz + (c_lo - n_lo))
-        nonzero.append(counts[nz])
+        nonzero.append(counts[nz].astype(np.int64))
 
     candidates.sort(key=lambda t: (-t[0], t[1]))
     records = tuple((n, c) for c, n in candidates[:top_k])

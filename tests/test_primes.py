@@ -61,7 +61,7 @@ def test_tiny_segments_match_oracles(segment, monkeypatch):
     # A tiny segment and an empty shared table force many segment edges
     # in prime_segments(), sieve() and every growth of the table.
     monkeypatch.setattr(primes_mod, "_SEGMENT", segment)
-    monkeypatch.setattr(primes_mod, "_table", (2, [2]))
+    monkeypatch.setattr(primes_mod, "_table", (2, np.array([2], dtype=np.int64)))
     limit = 3000
     oracle = trial_division_primes(limit)
     flags = byte_sieve(limit)
@@ -180,3 +180,75 @@ def test_prime_flags_all_negative():
 def test_prime_flags_rejects_bad_window():
     with pytest.raises(DomainError):
         prime_flags(5, 4)
+
+
+EDGE_LIMIT = 1_100_000
+EDGE_FLAGS = byte_sieve(EDGE_LIMIT)
+SMALL_PRIMES = trial_division_primes(1000)
+
+
+def sieve_oracle(lo: int, hi: int) -> bytes:
+    """Flags for lo..hi <= EDGE_LIMIT from the byte sieve; n < 0 reads 0."""
+    return bytes(max(0, min(hi, -1) - lo + 1)) + bytes(EDGE_FLAGS[max(lo, 0) : hi + 1])
+
+
+def is_prime_oracle(lo: int, hi: int) -> bytes:
+    """Flags for 1000 < lo..hi: trial division by the primes <= 1000, then is_prime."""
+    width = hi - lo + 1
+    composite = bytearray(width)
+    for p in SMALL_PRIMES:
+        start = -lo % p
+        composite[start::p] = b"\x01" * len(range(start, width, p))
+    return bytes(not c and is_prime(lo + i) for i, c in enumerate(composite))
+
+
+def wheel_edges() -> list[int]:
+    """Starts around multiples of 30030, the period of the 2..13 wheel, both sides of 10^12."""
+    ks = (1, 2, 33, 10**12 // 30030 + 1, (2**63 - 1) // 30030 - 1)
+    return [30030 * k + d for k in ks for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("lo", range(-1, 15))
+@pytest.mark.parametrize("span", [0, 1, 29, 400])
+def test_prime_flags_small_starts(lo, span):
+    # Windows over the wheel primes 2..13, which the wheel pattern clears
+    # and the kernel must set back, and over 17^2 and 19^2.
+    assert bytes(prime_flags(lo, lo + span)) == sieve_oracle(lo, lo + span)
+
+
+@pytest.mark.parametrize("lo", wheel_edges())
+def test_prime_flags_at_wheel_period_edges(lo):
+    hi = lo + 3000
+    oracle = sieve_oracle if hi <= EDGE_LIMIT else is_prime_oracle
+    assert bytes(prime_flags(lo, hi)) == oracle(lo, hi)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        # Odd and even first values, below and above WINDOW_VALUE_MAX.
+        (100_000, 102_000),
+        (100_001, 102_000),
+        (999_999, 1_001_001),
+        (10**12 - 1000, 10**12 + 1000),
+        (10**12 + 1, 10**12 + 3001),
+        (10**12 + 2, 10**12 + 3002),
+    ],
+)
+def test_prime_flags_odd_and_even_starts(lo, hi):
+    oracle = sieve_oracle if hi <= EDGE_LIMIT else is_prime_oracle
+    assert bytes(prime_flags(lo, hi)) == oracle(lo, hi)
+
+
+@pytest.mark.parametrize("p", [17, 19, 23, 29, 997, 1009, 1021])
+def test_prime_flags_around_base_prime_squares(p):
+    # p^2 is the first multiple of p the kernel clears; the next is p^2 + 2p.
+    sq = p * p
+    for lo, hi in [(sq, sq), (sq - 2, sq + 2), (sq - 1, sq + 2 * p + 1), (sq + 1, sq + 4 * p)]:
+        assert bytes(prime_flags(lo, hi)) == sieve_oracle(lo, hi), (lo, hi)
+
+
+def test_prime_flags_full_segment_at_the_top_of_int64():
+    hi = 2**63 - 1
+    lo = hi - primes_mod._SEGMENT + 1
+    assert bytes(prime_flags(lo, hi)) == is_prime_oracle(lo, hi)

@@ -1,8 +1,8 @@
 """Differential tests that drive rep_search and prime_flags down every path.
 
 Shrinking the chunk, spread, segment and sieve-cut constants lets
-small generated sets and ranges reach the shared window, per-element
-windows, chunk edges, segment edges and windows that straddle the cut
+small generated sets and ranges reach shared windows split by gaps and
+by spread, chunk edges, segment edges and windows that straddle the cut
 between exact sieving and Miller-Rabin confirmation.  Each result is
 checked against rep_count, is_prime and the tests/support.py oracles.
 """
@@ -101,3 +101,32 @@ def test_prime_flags_at_the_top_of_int64():
     ]
     with pytest.raises(DomainError):
         prime_flags(0, 2**63)
+
+
+@pytest.mark.parametrize(
+    "elements, spread_max, windows",
+    [
+        # The windows 90..99 and 100..109 touch: one shared window.
+        ((0, 10), 1 << 26, [(90, 109)]),
+        # A one-cell hole at 99: two windows.
+        ((0, 11), 1 << 26, [(100, 109), (89, 98)]),
+        # Gaps of 4 share, but the spread 0..12 passes 8.
+        ((0, 4, 8, 12), 1 << 26, [(88, 109)]),
+        ((0, 4, 8, 12), 8, [(92, 109), (88, 97)]),
+    ],
+    ids=["gap-equals-width", "gap-past-width", "spread-within", "spread-past"],
+)
+def test_chunk_windows_group_by_gap_and_spread(elements, spread_max, windows, monkeypatch):
+    calls = []
+
+    def recording(lo, hi):
+        calls.append((lo, hi))
+        return prime_flags(lo, hi)
+
+    monkeypatch.setattr(representation, "prime_flags", recording)
+    monkeypatch.setattr(representation, "_SPREAD_MAX", spread_max)
+    int_set = IntegerSet(elements)
+    profile = rep_search(int_set, 100, 109, 3)
+    assert calls == windows
+    counts = {n: rep_count(n, int_set) for n in range(100, 110)}
+    assert list(profile.nonzero_items()) == [(n, c) for n, c in counts.items() if c]

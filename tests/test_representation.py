@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,10 +208,11 @@ class TestGenSequence:
         with pytest.raises(DomainError):
             gen_sequence("divisor_chain", 10**5, 10**9)
         # Rejected on count alone, before nth_prime grows the shared table.
-        monkeypatch.setattr(primes_mod, "_table", (2, [2]))
+        empty = (2, np.array([2], dtype=np.int64))
+        monkeypatch.setattr(primes_mod, "_table", empty)
         with pytest.raises(DomainError):
             gen_sequence("two_pow_prime", 10**6)
-        assert primes_mod._table == (2, [2])
+        assert primes_mod._table is empty
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
