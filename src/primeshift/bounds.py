@@ -13,15 +13,18 @@ import math
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
 
 from .admissible import IntegerSet
 from .errors import DomainError
-from .primes import nth_prime, sieve
+from .primes import nth_prime, prime_segments
 from .prune import greedy_prune, survivor_lower_bound
 
 _MP_DPS = 60
-# Relative guard for float inequality verdicts; the compensated sums
-# below are accurate to ~1e-13, so 1e-9 is comfortably conservative.
+# Relative guard for float inequality verdicts.  The Mertens log-product
+# is a cumulative sum within each prime segment (under 10^5 terms, so a
+# relative error below ~1e-11) carried across segments by a compensated
+# sum, so 1e-9 is comfortably conservative.
 _FLOAT_GUARD = 1e-9
 
 MERTENS_FACTOR = 0.923
@@ -121,6 +124,14 @@ def verify_mertens(x_max: int) -> LemmaReport:
     check x = 74 (product over p <= 73) and x = q for every prime q in
     (74, x_max].  A pass requires the guarded comparison
     product * (1 + g) <= bound * (1 - g) at every checkpoint.
+
+    The log-product is summed over ``prime_segments(x_max)``, so memory
+    follows the segment, not x_max.  The primes below 74 are added first,
+    one at a time, which keeps the x = 74 checkpoint (the minimum margin)
+    exact to the last bit.  Within each segment the checkpoints from 74 up
+    are compared at once from a cumulative sum of -log1p(-1/q) on top of
+    the running total; each segment's sum then joins that total with a
+    Neumaier compensated add.
     """
     if x_max < MERTENS_MIN_X:
         raise DomainError(f"x_max must be >= {MERTENS_MIN_X}, got {x_max}")
@@ -137,33 +148,26 @@ def verify_mertens(x_max: int) -> LemmaReport:
             comp += (term - t) + log_sum
         log_sum = t
 
-    def checkpoint(x: float) -> tuple[float, bool]:
-        product = math.exp(log_sum + comp)
-        bound = MERTENS_FACTOR * math.log(x)
-        ok = product * (1 + _FLOAT_GUARD) <= bound * (1 - _FLOAT_GUARD)
-        return bound - product, ok
-
     min_margin = math.inf
     all_ok = True
-    seeded = False
-    for q in sieve(x_max).primes.tolist():
-        if q == 2:
-            continue
-        if not seeded and q > MERTENS_MIN_X:
-            margin, ok = checkpoint(MERTENS_MIN_X)
-            min_margin = min(min_margin, margin)
-            all_ok = all_ok and ok
-            seeded = True
-        add(math.log(q / (q - 1)))
-        if q >= MERTENS_MIN_X:
-            margin, ok = checkpoint(q)
-            min_margin = min(min_margin, margin)
-            all_ok = all_ok and ok
-    if not seeded and min_margin is math.inf:
-        # x_max below the first prime past 74: only the x = 74 checkpoint.
-        margin, ok = checkpoint(MERTENS_MIN_X)
-        min_margin = margin
-        all_ok = ok
+
+    def check(product, bound) -> None:
+        """Fold in the checkpoints with these products and bounds (floats or arrays)."""
+        nonlocal min_margin, all_ok
+        all_ok = all_ok and bool(np.all(product * (1 + _FLOAT_GUARD) <= bound * (1 - _FLOAT_GUARD)))
+        min_margin = min(min_margin, float(np.min(bound - product)))
+
+    for segment in prime_segments(MERTENS_MIN_X - 1):
+        for q in segment.tolist():
+            if q > 2:
+                add(math.log(q / (q - 1)))
+    check(math.exp(log_sum + comp), MERTENS_FACTOR * math.log(MERTENS_MIN_X))
+    for segment in prime_segments(x_max):
+        q = segment[np.searchsorted(segment, MERTENS_MIN_X) :].astype(np.float64)
+        if q.size:
+            cs = np.cumsum(-np.log1p(-1 / q))
+            check(np.exp((log_sum + comp) + cs), MERTENS_FACTOR * np.log(q))
+            add(float(cs[-1]))
     return LemmaReport(
         name="mertens_product_bound",
         checked_range=(

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,8 @@ from primeshift import (
     verify_mertens,
     verify_proof_constants,
 )
+from primeshift import bounds as bounds_mod
+from primeshift import primes as primes_mod
 
 from support import prime_reciprocal_product, trial_division_primes
 
@@ -109,6 +112,107 @@ class TestMertens:
 
     def test_minimum_sits_at_74(self):
         assert verify_mertens(10**4).margin == verify_mertens(74).margin
+
+    def test_margin_is_the_exact_minimum_to_ten_thousand(self):
+        # One exact product, extended prime by prime, gives every checkpoint's
+        # margin; it is pinned to the oracle's prime_reciprocal_product at the end.
+        product = prime_reciprocal_product(73)
+        margins = {74: 0.923 * math.log(74) - float(product)}
+        for q in trial_division_primes(10**4)[21:]:
+            product *= Fraction(q, q - 1)
+            margins[q] = 0.923 * math.log(q) - float(product)
+        assert product == prime_reciprocal_product(10**4)
+        for x_max in (74, 78, 79, 101, 997, 4099, 10**4):
+            exact = min(m for x, m in margins.items() if x <= x_max)
+            assert abs(verify_mertens(x_max).margin - exact) < 1e-12, x_max
+
+    @pytest.mark.parametrize("segment", [29, 64])
+    def test_segment_edges_keep_margin_and_verdict(self, segment, monkeypatch):
+        # With 29 or 64 the first segment ends below 74, and the primes
+        # below 74 and the first checkpoints straddle segment edges.
+        rng = random.Random(segment)
+        samples = [74, 78, 79, 80, 89, 128, 129, 10**4, 2 * 10**4]
+        samples += [rng.randint(74, 2 * 10**4) for _ in range(6)]
+        expected = {x: verify_mertens(x) for x in samples}
+        monkeypatch.setattr(primes_mod, "_SEGMENT", segment)
+        monkeypatch.setattr(primes_mod, "_table", (2, np.array([2], dtype=np.int64)))
+        for x in samples:
+            report = verify_mertens(x)
+            assert (report.margin, report.passed) == (expected[x].margin, expected[x].passed), x
+
+
+def sequential_mertens(values, guard):
+    """The Mertens check one checkpoint at a time over an ascending stream of "primes"."""
+    total, margins, passed = 0.0, [], True
+
+    def checkpoint(x):
+        nonlocal passed
+        product, bound = math.exp(total), 0.923 * math.log(x)
+        margins.append(bound - product)
+        passed = passed and product * (1 + guard) <= bound * (1 - guard)
+
+    for q in values:
+        if q >= 74 and not margins:
+            checkpoint(74)
+        if q > 2:
+            total += math.log(q / (q - 1))
+        if q >= 74:
+            checkpoint(q)
+    return min(margins), passed and min(margins) > 0, margins
+
+
+def feed_segments(monkeypatch, values, size):
+    """Make verify_mertens read ``values`` as its primes, ``size`` per segment."""
+    chunks = [np.array(values[i : i + size], dtype=np.int64) for i in range(0, len(values), size)]
+    monkeypatch.setattr(bounds_mod, "prime_segments", lambda limit: (c[c <= limit] for c in chunks))
+
+
+class TestMertensLateCheckpoints:
+    """Made-up prime streams whose first failing checkpoint lies segments past x = 74."""
+
+    @pytest.mark.parametrize("size", [7, 50, 10**4])
+    def test_late_failure(self, size, monkeypatch):
+        # Every odd integer from 79 on counts as prime: the product then
+        # outgrows 0.923 ln x, which x = 74 alone would never show.
+        values = trial_division_primes(73) + list(range(79, 2001, 2))
+        margin, passed, _ = sequential_mertens(values, bounds_mod._FLOAT_GUARD)
+        assert not passed and margin < 0
+        feed_segments(monkeypatch, values, size)
+        report = verify_mertens(values[-1])
+        assert not report.passed
+        assert report.margin == pytest.approx(margin, rel=1e-12)
+
+    @pytest.mark.parametrize("size", [7, 50])
+    def test_guard_fails_mid_segment_with_positive_margin(self, size, monkeypatch):
+        # The real primes to 10^4, then every integer until the relative gap
+        # (bound - product) / bound first drops below a quarter of the gap at
+        # x = 74, then two far checkpoints where the bound has grown away
+        # again.  A guard of a quarter of that gap lets x = 74 and every real
+        # prime pass but fails that one checkpoint, in the middle of a
+        # segment, while every margin stays positive.
+        values = trial_division_primes(10**4)
+        _, _, margins = sequential_mertens(values, 0.0)
+        gap_74 = margins[0] / (0.923 * math.log(74))
+        assert min(m / (0.923 * math.log(x)) for m, x in zip(margins[1:], values[21:])) > gap_74
+        n = values[-1]
+        while True:
+            n += 1
+            values.append(n)
+            gap = sequential_mertens(values, 0.0)[0] / (0.923 * math.log(n))
+            if gap < gap_74 / 4:
+                break
+        assert gap > 0
+        values += [4 * n + 1, 16 * n + 1]
+        guard = gap_74 / 4
+        margin, passed, _ = sequential_mertens(values, guard)
+        assert margin > 0 and not passed
+        assert sequential_mertens(values, bounds_mod._FLOAT_GUARD)[1]
+        feed_segments(monkeypatch, values, size)
+        report = verify_mertens(values[-1])
+        assert report.passed and report.margin == pytest.approx(margin, rel=1e-12)
+        monkeypatch.setattr(bounds_mod, "_FLOAT_GUARD", guard)
+        report = verify_mertens(values[-1])
+        assert not report.passed and report.margin == pytest.approx(margin, rel=1e-12)
 
 
 class TestProofConstants:

@@ -333,3 +333,19 @@ class TestMain:
         result = json.loads(proc.stdout)["result"]
         assert (result["count"], result["largest"]) == (5761455, 99999989)
         assert max_rss_kb < 100 * 1024
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+    def test_mertens_memory_follows_the_segment(self):
+        # The Mertens check reads the primes to 10^8 one segment at a time.
+        proc = subprocess.run(
+            [sys.executable, "-c", _SPAWN_AND_MEASURE, sys.executable, "-m", "primeshift.cli"]
+            + ["verify-lemmas", "--mertens-limit", str(10**8)],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+        )
+        code, max_rss_kb = map(int, proc.stderr.split())
+        assert code == 0
+        mertens = json.loads(proc.stdout)["result"]["reports"][0]
+        assert mertens["passed"] and mertens["margin"] == 0.005878639183609202
+        assert max_rss_kb < 100 * 1024
