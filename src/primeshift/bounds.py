@@ -127,11 +127,12 @@ def verify_mertens(x_max: int) -> LemmaReport:
 
     The log-product is summed over ``prime_segments(x_max)``, so memory
     follows the segment, not x_max.  The primes below 74 are added first,
-    one at a time, which keeps the x = 74 checkpoint (the minimum margin)
-    exact to the last bit.  Within each segment the checkpoints from 74 up
-    are compared at once from a cumulative sum of -log1p(-1/q) on top of
-    the running total; each segment's sum then joins that total with a
-    Neumaier compensated add.
+    one at a time in scalar floats, so the x = 74 checkpoint (the minimum
+    margin) is the same float whatever the segment size; it is still
+    rounded, like every checkpoint.  Within each segment the checkpoints
+    from 74 up are compared at once from a cumulative sum of -log1p(-1/q)
+    on top of the running total; each segment's sum then joins that total
+    with a Neumaier compensated add.
     """
     if x_max < MERTENS_MIN_X:
         raise DomainError(f"x_max must be >= {MERTENS_MIN_X}, got {x_max}")

@@ -194,11 +194,15 @@ class TestMertensLateCheckpoints:
         _, _, margins = sequential_mertens(values, 0.0)
         gap_74 = margins[0] / (0.923 * math.log(74))
         assert min(m / (0.923 * math.log(x)) for m, x in zip(margins[1:], values[21:])) > gap_74
+        total = 0.0  # the log sum sequential_mertens builds, extended as n grows
+        for q in values[1:]:
+            total += math.log(q / (q - 1))
         n = values[-1]
         while True:
             n += 1
             values.append(n)
-            gap = sequential_mertens(values, 0.0)[0] / (0.923 * math.log(n))
+            total += math.log(n / (n - 1))
+            gap = 1 - math.exp(total) / (0.923 * math.log(n))
             if gap < gap_74 / 4:
                 break
         assert gap > 0
