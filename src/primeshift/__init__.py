@@ -35,7 +35,6 @@ from .prune import PruneStep, PruneTrace, greedy_prune, survivor_lower_bound
 from .representation import (
     RepresentationProfile,
     gen_sequence,
-    rep_count,
     rep_search,
     romanoff_counts,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "maynard_m",
     "nth_prime",
     "prime_flags",
-    "rep_count",
     "rep_search",
     "romanoff_counts",
     "sieve",

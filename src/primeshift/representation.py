@@ -20,7 +20,7 @@ import numpy as np
 
 from .admissible import INT64_MAX, INT64_MIN, IntegerSet
 from .errors import DomainError, ResourceError
-from .primes import is_prime, nth_prime, prime_flags
+from .primes import nth_prime, prime_flags
 
 RANGE_WIDTH_MAX = 10**9
 SEQUENCE_KINDS = ("powers_of_two", "divisor_chain", "two_pow_prime")
@@ -29,6 +29,12 @@ _CHUNK = 1 << 22
 # Widest min..max element spread within one run, which caps one shared
 # prime window at _SPREAD_MAX + _CHUNK bytes.
 _SPREAD_MAX = 1 << 26
+# romanoff_counts reads prime_flags in windows of this many numbers: one
+# sieve segment, and a multiple of 16, so each window's odd numbers fill
+# whole bytes of the packed bits.
+_WINDOW = 1 << 20
+# _POPCOUNT[b] is the number of set bits in the byte b.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,19 +72,6 @@ class RepresentationProfile:
     @property
     def max_count(self) -> int:
         return self.records[0][1] if self.records else 0
-
-
-def rep_count(n: int, int_set: IntegerSet) -> int:
-    """Number of elements a with n - a prime."""
-    elements = int_set.elements.tolist()
-    if n - elements[-1] < INT64_MIN or n - elements[0] > INT64_MAX:
-        raise DomainError(f"n - a leaves the 64-bit range for n={n}")
-    count = 0
-    for a in elements:
-        d = n - a
-        if d >= 2 and is_prime(d):
-            count += 1
-    return count
 
 
 def _chunk_counts(elements: list[int], c_lo: int, c_hi: int) -> np.ndarray:
@@ -154,6 +147,14 @@ def romanoff_counts(limit: int, k_min: int = 1) -> tuple[int, int]:
 
     Representable means n = p + 2^k with p prime and k >= k_min; k_min
     is 0 or 1 (the k = 0 convention adds only n = 3 among odd targets).
+    An odd n = p + 2^k with k >= 1 needs an odd p, so the count holds one
+    bit per odd number: bit j of a packed little-endian uint8 array
+    stands for n = 2j + 1.  The odd primes' bits are filled one
+    ``prime_flags`` window at a time, and each shift by 2^k moves them
+    up by 2^(k-1) bits.  Memory is two ceil(m/8)-byte arrays for the m
+    odd numbers up to limit, plus one window of flags; the shifts by
+    fewer than 8 bits and the final count each hold one more array of
+    that size for a moment.
     """
     if k_min not in (0, 1):
         raise DomainError(f"k_min must be 0 or 1, got {k_min}")
@@ -161,15 +162,26 @@ def romanoff_counts(limit: int, k_min: int = 1) -> tuple[int, int]:
         raise DomainError(f"limit must be >= 3, got {limit}")
     if limit > RANGE_WIDTH_MAX:
         raise ResourceError(f"limit {limit} exceeds {RANGE_WIDTH_MAX}")
-    flags = prime_flags(0, limit) != 0
-    reachable = np.zeros(limit + 1, dtype=bool)
-    k = k_min
-    while (1 << k) <= limit - 2:
-        t = 1 << k
-        reachable[t + 2 :] |= flags[2 : limit + 1 - t]
-        k += 1
-    odd = reachable[3::2]
-    return int(odd.sum()), int(odd.size)
+    m = (limit + 1) // 2
+    odd_primes = np.zeros(-(-m // 8), dtype=np.uint8)
+    for lo in range(0, limit + 1, _WINDOW):
+        flags = prime_flags(lo, min(lo + _WINDOW - 1, limit))
+        bits = np.packbits(flags[1::2].view(bool), bitorder="little")
+        odd_primes[lo // 16 : lo // 16 + bits.size] = bits
+    reachable = np.zeros_like(odd_primes)
+    # Every k >= 1 with 2^k <= limit - 3, as the smallest odd prime is 3.
+    for k in range(1, (limit - 3).bit_length()):
+        h = 1 << (k - 1)
+        shift, carry = h >> 3, h & 7
+        reachable[shift:] |= odd_primes[: odd_primes.size - shift] << carry
+        if carry:
+            reachable[shift + 1 :] |= odd_primes[: odd_primes.size - shift - 1] >> (8 - carry)
+    # Bit 0 (n = 1) stays clear: every shift moves a bit j >= 1 up by h >= 1.
+    if k_min == 0:
+        reachable[0] |= 0b10  # n = 3 = 2 + 2^0
+    if m % 8:
+        reachable[-1] &= (1 << (m % 8)) - 1
+    return int(_POPCOUNT[reachable].sum()), m - 1
 
 
 def gen_sequence(kind: str, count: int, seed_ratio: int = 2) -> IntegerSet:

@@ -7,6 +7,9 @@ package against straight-line definitions.
 import math
 from fractions import Fraction
 
+import numpy as np
+import sympy
+
 
 def trial_division_is_prime(n: int) -> bool:
     if n < 2:
@@ -64,6 +67,27 @@ def brute_rep_count(n: int, elements, flags: bytearray) -> int:
         if 2 <= d < len(flags) and flags[d]:
             count += 1
     return count
+
+
+def rep_count(n: int, elements) -> int:
+    """Number of a in ``elements`` with n - a prime, one sympy.isprime call each."""
+    return sum(1 for a in elements if sympy.isprime(n - a))
+
+
+def romanoff_oracle(limit: int, k_min: int) -> tuple[int, int]:
+    """(representable, total) over the odd n in [3, limit], by n = p + 2^k, k >= k_min.
+
+    One bool per number: shift the prime flags up by each 2^k and OR them in.
+    """
+    flags = np.frombuffer(byte_sieve(limit), dtype=bool)
+    reachable = np.zeros(limit + 1, dtype=bool)
+    k = k_min
+    while (1 << k) <= limit - 2:
+        t = 1 << k
+        reachable[t + 2 :] |= flags[2 : limit + 1 - t]
+        k += 1
+    odd = reachable[3::2]
+    return int(odd.sum()), int(odd.size)
 
 
 def greedy_prune_oracle(elements):

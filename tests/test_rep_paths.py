@@ -4,7 +4,7 @@ Shrinking the chunk, spread, segment and sieve-cut constants lets
 small generated sets and ranges reach shared windows split by gaps and
 by spread, chunk edges, segment edges and windows that straddle the cut
 between exact sieving and Miller-Rabin confirmation.  Each result is
-checked against rep_count, is_prime and the tests/support.py oracles.
+checked against is_prime and the tests/support.py oracles.
 """
 
 import contextlib
@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeshift import DomainError, IntegerSet, is_prime, prime_flags, rep_count, rep_search
+from primeshift import DomainError, IntegerSet, is_prime, prime_flags, rep_search
 from primeshift import primes as primes_mod
 from primeshift import representation
 
-from support import brute_rep_count, byte_sieve
+from support import brute_rep_count, byte_sieve, rep_count
 
 FLAGS = byte_sieve(2000)
 SPREAD_MAX = 40
@@ -63,7 +63,7 @@ def test_rep_search_paths_match_oracles(offsets, shift, n_lo, span, top_k):
         profile = rep_search(int_set, n_lo, n_hi, top_k)
     expected = {n: brute_rep_count(n, int_set.elements, FLAGS) for n in range(n_lo, n_hi + 1)}
     for n, count in expected.items():
-        assert count == rep_count(n, int_set), n
+        assert count == rep_count(n, int_set.elements.tolist()), n
     nonzero = [(n, c) for n, c in expected.items() if c]
     assert list(profile.nonzero_items()) == nonzero
     assert profile.represented_count == len(nonzero)
@@ -79,17 +79,18 @@ def test_rep_search_straddles_window_value_max(elements):
     int_set = IntegerSet(elements)
     lo, hi = 10**12 - 300, 10**12 + 300
     profile = rep_search(int_set, lo, hi, 5)
-    counts = {n: rep_count(n, int_set) for n in range(lo, hi + 1)}
+    counts = {n: rep_count(n, elements) for n in range(lo, hi + 1)}
     assert list(profile.nonzero_items()) == [(n, c) for n, c in counts.items() if c]
     assert profile.total_representations == sum(counts.values())
 
 
 def test_rep_search_n_past_int64():
     # Only n - a must fit in 64 bits; n itself may not.
-    int_set = IntegerSet((2**62, 2**62 + 6))
+    elements = (2**62, 2**62 + 6)
+    int_set = IntegerSet(elements)
     lo, hi = 2**63 - 60, 2**63 + 60
     profile = rep_search(int_set, lo, hi, 3)
-    counts = {n: rep_count(n, int_set) for n in range(lo, hi + 1)}
+    counts = {n: rep_count(n, elements) for n in range(lo, hi + 1)}
     assert list(profile.nonzero_items()) == [(n, c) for n, c in counts.items() if c]
     assert profile.records == tuple(sorted(counts.items(), key=lambda t: (-t[1], t[0]))[:3])
 
@@ -128,5 +129,5 @@ def test_chunk_windows_group_by_gap_and_spread(elements, spread_max, windows, mo
     int_set = IntegerSet(elements)
     profile = rep_search(int_set, 100, 109, 3)
     assert calls == windows
-    counts = {n: rep_count(n, int_set) for n in range(100, 110)}
+    counts = {n: rep_count(n, elements) for n in range(100, 110)}
     assert list(profile.nonzero_items()) == [(n, c) for n, c in counts.items() if c]

@@ -1,5 +1,5 @@
-import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,34 +11,29 @@ from primeshift import (
     IntegerSet,
     ResourceError,
     gen_sequence,
-    rep_count,
     rep_search,
     romanoff_counts,
 )
 from primeshift import primes as primes_mod
+from primeshift import representation
 
-from support import brute_rep_count, byte_sieve
+from support import brute_rep_count, byte_sieve, rep_count, romanoff_oracle
 
 FLAGS_10K = byte_sieve(10**4 + 10)
 
 
 class TestRepCount:
+    """The tests/support.py rep_count oracle that the rep_search tests compare against."""
+
     def test_examples(self):
-        assert rep_count(5, IntegerSet((1, 2, 3))) == 2
-        assert rep_count(2, IntegerSet((0,))) == 1
-        assert rep_count(0, IntegerSet((5,))) == 0
+        assert rep_count(5, [1, 2, 3]) == 2
+        assert rep_count(2, [0]) == 1
+        assert rep_count(0, [5]) == 0
 
     def test_prime_indicator_for_zero_set(self):
-        zero = IntegerSet((0,))
         for n in range(-5, 50):
             expected = int(bool(FLAGS_10K[n])) if n >= 0 else 0
-            assert rep_count(n, zero) == expected
-
-    def test_overflow_rejected(self):
-        with pytest.raises(DomainError):
-            rep_count(2**63 - 1, IntegerSet((-10, 0)))
-        with pytest.raises(DomainError):
-            rep_count(-(2**63), IntegerSet((0, 10)))
+            assert rep_count(n, [0]) == expected
 
 
 class TestRepSearch:
@@ -100,14 +95,14 @@ class TestRepSearch:
         lo, hi = 10**8 + 2, 10**8 + 2000
         counts = dict(rep_search(int_set, lo, hi, 3).nonzero_items())
         for n in range(lo, hi + 1, 97):
-            assert counts.get(n, 0) == rep_count(n, int_set)
+            assert counts.get(n, 0) == rep_count(n, int_set.elements.tolist())
 
     def test_per_query_fallback_matches_rep_count(self):
         int_set = IntegerSet((2**62, 2**62 + 6))
         lo = 2**62 + 2
         counts = dict(rep_search(int_set, lo, lo + 120, 3).nonzero_items())
         for n in range(lo, lo + 121):
-            assert counts.get(n, 0) == rep_count(n, int_set)
+            assert counts.get(n, 0) == rep_count(n, int_set.elements.tolist())
 
     def test_shift_covariance(self):
         rng = random.Random(229845)
@@ -164,6 +159,33 @@ class TestRomanoff:
                     k += 1
                 representable += hit
             assert romanoff_counts(limit, k_min) == (representable, total)
+
+    @pytest.mark.parametrize("k_min", [0, 1])
+    def test_matches_oracle_for_every_small_limit(self, k_min):
+        for limit in range(3, 2101):
+            assert romanoff_counts(limit, k_min) == romanoff_oracle(limit, k_min), limit
+
+    @pytest.mark.parametrize("k_min", [0, 1])
+    def test_matches_oracle_at_window_edges(self, k_min):
+        # limit % 16 takes every value next to the first window edge, so the
+        # count of odd numbers takes every value mod 8; limit = W leaves a
+        # last window that holds one number.
+        w = representation._WINDOW
+        limits = [*range(w - 1, w + 18), 2 * w - 1, 2 * w + 1, 2 * w + 15, 2 * w + 16, 2 * w + 17]
+        for limit in limits:
+            assert romanoff_counts(limit, k_min) == romanoff_oracle(limit, k_min), limit
+
+    def test_memory_is_two_bits_per_odd_number(self):
+        # Two bit arrays of limit / 16 bytes each plus one window of flags;
+        # a bool per number would take 2 bytes per number.
+        limit = 16 * 10**6
+        tracemalloc.start()
+        try:
+            romanoff_counts(limit, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit // 4 + 4 * 2**20
 
     def test_k_min_relaxation_monotone(self):
         for limit in (9, 100, 10**4):
@@ -229,5 +251,4 @@ class TestGenSequence:
     st.integers(min_value=0, max_value=300),
 )
 def test_rep_count_matches_brute_force(xs, n):
-    int_set = IntegerSet(tuple(sorted(xs)))
-    assert rep_count(n, int_set) == brute_rep_count(n, int_set.elements, FLAGS_10K)
+    assert rep_count(n, xs) == brute_rep_count(n, xs, FLAGS_10K)
