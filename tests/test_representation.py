@@ -175,9 +175,9 @@ class TestRomanoff:
         for limit in limits:
             assert romanoff_counts(limit, k_min) == romanoff_oracle(limit, k_min), limit
 
-    def test_memory_is_two_bits_per_odd_number(self):
-        # Two bit arrays of limit / 16 bytes each plus one window of flags;
-        # a bool per number would take 2 bytes per number.
+    def test_memory_follows_bits_not_bytes(self):
+        # Two bit arrays of limit / 16 bytes each, a third for a moment, and
+        # one window of flags; two bool arrays would take 2 bytes per number.
         limit = 16 * 10**6
         tracemalloc.start()
         try:
