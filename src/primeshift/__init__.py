@@ -23,7 +23,6 @@ from .bounds import (
     verify_proof_constants,
 )
 from .errors import (
-    BoundsError,
     DomainError,
     ParseError,
     PrimeShiftError,
@@ -45,7 +44,6 @@ __all__ = [
     "ADMISSIBLE",
     "INADMISSIBLE",
     "AdmissibilityCertificate",
-    "BoundsError",
     "DomainError",
     "GuaranteeReport",
     "IntegerSet",

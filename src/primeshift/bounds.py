@@ -88,7 +88,9 @@ def theorem1_bound(ell: int) -> float:
 
 
 def corollary_bound(x: float) -> float:
-    """The doubled-logarithm form (1/8) ln(ln x) - 1.6; requires x >= e."""
+    """The doubled-logarithm form (1/8) ln(ln x) - 1.6; requires finite x >= e."""
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     if x < math.e:
         raise DomainError(f"x must be >= e, got {x}")
     return math.log(math.log(x)) / 8 - 1.6

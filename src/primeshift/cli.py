@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -39,16 +37,6 @@ from .representation import SEQUENCE_KINDS, gen_sequence, rep_search, romanoff_c
 JSON_VERSION = 1
 
 _JSON_INT_LIMIT = 2**53
-_CSV_COMMANDS = ("repsearch", "gen")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    input_path: str | None
-    params: dict[str, Any]
-    output_format: str = "json"
-
 
 # A line holding a '#' after something that is not whitespace: np.loadtxt
 # reads "5 # c" as 5, the line parser rejects it.
@@ -135,8 +123,11 @@ def _set_summary(path: str, int_set: IntegerSet) -> dict[str, Any]:
     }
 
 
-def _run_check(config: RunConfig):
-    int_set = parse_input_set(config.input_path)
+# Each runner reads the parsed arguments and returns (result, summary,
+# exit_code, text, csv_rows); csv_rows is None unless the subcommand's
+# --format offers csv.
+def _run_check(args: argparse.Namespace):
+    int_set = parse_input_set(args.input)
     cert = check_admissible(int_set)
     result = {
         "verdict": cert.verdict,
@@ -148,11 +139,11 @@ def _run_check(config: RunConfig):
         text.append(f"covering prime: {cert.covered_prime}")
     else:
         text.append(f"examined primes: {len(cert.missed_residues)}")
-    return result, _set_summary(config.input_path, int_set), 0, "\n".join(text)
+    return result, _set_summary(args.input, int_set), 0, "\n".join(text), None
 
 
-def _run_prune(config: RunConfig):
-    int_set = parse_input_set(config.input_path)
+def _run_prune(args: argparse.Namespace):
+    int_set = parse_input_set(args.input)
     trace = greedy_prune(int_set)
     result = {
         "input_size": trace.input_size,
@@ -166,11 +157,11 @@ def _run_prune(config: RunConfig):
         f"pruned {trace.input_size} -> {trace.final_size} elements "
         f"in {trace.s} steps (stop prime {trace.stop_prime})"
     )
-    return result, _set_summary(config.input_path, int_set), 0, text
+    return result, _set_summary(args.input, int_set), 0, text, None
 
 
-def _run_guarantee(config: RunConfig):
-    int_set = parse_input_set(config.input_path)
+def _run_guarantee(args: argparse.Namespace):
+    int_set = parse_input_set(args.input)
     report = guarantee(int_set)
     text = (
         f"ell={report.ell} ell_s={report.ell_s} s={report.s} "
@@ -178,16 +169,14 @@ def _run_guarantee(config: RunConfig):
         f"satisfied={str(report.satisfied).lower()}"
     )
     code = 0 if report.satisfied else 1
-    return vars(report), _set_summary(config.input_path, int_set), code, text
+    return vars(report), _set_summary(args.input, int_set), code, text, None
 
 
-def _run_bound(config: RunConfig):
-    ell = config.params.get("ell")
-    x = config.params.get("x")
+def _run_bound(args: argparse.Namespace):
+    ell = args.ell
+    x = args.x
     if ell is None and x is None:
         raise ParseError("bound needs --ell and/or --x")
-    if x is not None and not math.isfinite(x):
-        raise ParseError(f"--x must be finite, got {x}")
     result: dict[str, Any] = {"theorem1": None, "corollary": None}
     lines = []
     if ell is not None:
@@ -199,11 +188,11 @@ def _run_bound(config: RunConfig):
         result["corollary"] = {"x": x, "value": value}
         lines.append(f"corollary_bound({x}) = {value:.6f}")
     summary = {"ell": ell, "x": x}
-    return result, summary, 0, "\n".join(lines)
+    return result, summary, 0, "\n".join(lines), None
 
 
-def _run_verify_lemmas(config: RunConfig):
-    limit = config.params["mertens_limit"]
+def _run_verify_lemmas(args: argparse.Namespace):
+    limit = args.mertens_limit
     reports = [verify_mertens(limit)] + verify_proof_constants()
     all_passed = all(r.passed for r in reports)
     result = {"reports": [vars(r) for r in reports], "all_passed": all_passed}
@@ -211,14 +200,14 @@ def _run_verify_lemmas(config: RunConfig):
         f"{'PASS' if r.passed else 'FAIL'} {r.name} (margin {r.margin:.6g})"
         for r in reports
     ]
-    return result, {"mertens_limit": limit}, 0 if all_passed else 1, "\n".join(lines)
+    return result, {"mertens_limit": limit}, 0 if all_passed else 1, "\n".join(lines), None
 
 
-def _run_repsearch(config: RunConfig):
-    int_set = parse_input_set(config.input_path)
-    n_lo = config.params["n_lo"]
-    n_hi = config.params["n_hi"]
-    top_k = config.params["top_k"]
+def _run_repsearch(args: argparse.Namespace):
+    int_set = parse_input_set(args.input)
+    n_lo = args.n_lo
+    n_hi = args.n_hi
+    top_k = args.top_k
     profile = rep_search(int_set, n_lo, n_hi, top_k)
     result = {
         "n_lo": n_lo,
@@ -229,7 +218,7 @@ def _run_repsearch(config: RunConfig):
         "max_count": profile.max_count,
         "records": [[n, c] for n, c in profile.records],
     }
-    summary = _set_summary(config.input_path, int_set)
+    summary = _set_summary(args.input, int_set)
     summary.update({"from": n_lo, "to": n_hi, "top": top_k})
     text = [
         f"range [{n_lo}, {n_hi}]: {profile.represented_count} represented, "
@@ -237,14 +226,14 @@ def _run_repsearch(config: RunConfig):
     ]
     text += [f"  n={n} count={c}" for n, c in profile.records]
     csv_rows = None
-    if config.output_format == "csv":
+    if args.format == "csv":
         csv_rows = "\n".join(f"{n},{c}" for n, c in profile.nonzero_items())
     return result, summary, 0, "\n".join(text), csv_rows
 
 
-def _run_romanoff(config: RunConfig):
-    limit = config.params["limit"]
-    k_min = config.params["k_min"]
+def _run_romanoff(args: argparse.Namespace):
+    limit = args.limit
+    k_min = args.k_min
     representable, odd_count = romanoff_counts(limit, k_min)
     result = {
         "limit": limit,
@@ -254,14 +243,14 @@ def _run_romanoff(config: RunConfig):
         "density": representable / odd_count,
     }
     text = f"density({limit}, k_min={k_min}) = {representable / odd_count:.6f}"
-    return result, {"limit": limit, "k_min": k_min}, 0, text
+    return result, {"limit": limit, "k_min": k_min}, 0, text, None
 
 
-def _run_gen(config: RunConfig):
-    kind = config.params["kind"]
-    count = config.params["count"]
-    ratio = config.params["ratio"]
-    out = config.params.get("out")
+def _run_gen(args: argparse.Namespace):
+    kind = args.kind
+    count = args.count
+    ratio = args.ratio
+    out = args.out
     elements = gen_sequence(kind, count, ratio).elements.tolist()
     listing = "\n".join(str(a) for a in elements)
     if out:
@@ -277,8 +266,8 @@ def _run_gen(config: RunConfig):
     return result, summary, 0, listing, listing
 
 
-def _run_primes(config: RunConfig):
-    limit = config.params["limit"]
+def _run_primes(args: argparse.Namespace):
+    limit = args.limit
     count, largest = 0, None
     for segment in prime_segments(limit):
         if segment.size:
@@ -286,54 +275,31 @@ def _run_primes(config: RunConfig):
             largest = int(segment[-1])
     result = {"limit": limit, "count": count, "largest": largest}
     text = f"{count} primes up to {limit} (largest {largest})"
-    return result, {"limit": limit}, 0, text
+    return result, {"limit": limit}, 0, text, None
 
 
-_RUNNERS = {
-    "check": _run_check,
-    "prune": _run_prune,
-    "guarantee": _run_guarantee,
-    "bound": _run_bound,
-    "verify-lemmas": _run_verify_lemmas,
-    "repsearch": _run_repsearch,
-    "romanoff": _run_romanoff,
-    "gen": _run_gen,
-    "primes": _run_primes,
-}
-
-
-def dispatch(config: RunConfig) -> tuple[int, str]:
-    """Run one subcommand; returns (exit_code, report).
+def dispatch(args: argparse.Namespace) -> tuple[int, str]:
+    """Run the parsed subcommand's runner; returns (exit_code, report).
 
     Exit 2 reports are error messages, others are in the requested
-    format.  Output is a pure function of the config, so identical runs
-    yield identical bytes.
+    format.  Output is a pure function of the arguments, so identical
+    runs yield identical bytes.
     """
     try:
-        if config.output_format not in ("json", "text", "csv"):
-            raise ParseError(f"unknown format {config.output_format!r}")
-        if config.output_format == "csv" and config.subcommand not in _CSV_COMMANDS:
-            raise ParseError(f"csv output is not defined for {config.subcommand!r}")
-        runner = _RUNNERS.get(config.subcommand)
-        if runner is None:
-            raise ParseError(f"unknown subcommand {config.subcommand!r}")
-        outcome = runner(config)
-        result, summary, code, text = outcome[:4]
-        if config.output_format == "csv":
-            return code, outcome[4]
-        if config.output_format == "text":
-            return code, text
-        envelope = {
-            "version": JSON_VERSION,
-            "subcommand": config.subcommand,
-            "input_summary": _jsonable(summary),
-            "result": _jsonable(result),
-        }
-        return code, json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
-    except PrimeShiftError as exc:
+        result, summary, code, text, csv_rows = args.run(args)
+    except (PrimeShiftError, OSError) as exc:
         return 2, f"error: {exc}"
-    except OSError as exc:
-        return 2, f"error: {exc}"
+    if args.format == "csv":
+        return code, csv_rows
+    if args.format == "text":
+        return code, text
+    envelope = {
+        "version": JSON_VERSION,
+        "subcommand": args.subcommand,
+        "input_summary": _jsonable(summary),
+        "result": _jsonable(result),
+    }
+    return code, json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,68 +309,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "text", "csv"), default="json")
+    def command(
+        name: str, run: Callable[[argparse.Namespace], tuple], help_text: str, *formats: str
+    ) -> argparse.ArgumentParser:
+        """A subparser that binds ``run``; json and text output, plus ``formats``."""
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--format", choices=("json", "text", *formats), default="json")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("check", help="admissibility certificate for a set file")
+    p = command("check", _run_check, "admissibility certificate for a set file")
     p.add_argument("input")
-    common(p)
 
-    p = sub.add_parser("prune", help="greedy pruning trace for a set file")
+    p = command("prune", _run_prune, "greedy pruning trace for a set file")
     p.add_argument("input")
-    common(p)
 
-    p = sub.add_parser("guarantee", help="representation guarantee for a set file")
+    p = command("guarantee", _run_guarantee, "representation guarantee for a set file")
     p.add_argument("input")
-    common(p)
 
-    p = sub.add_parser("bound", help="evaluate the closed-form bounds")
+    p = command("bound", _run_bound, "evaluate the closed-form bounds")
     p.add_argument("--ell", type=int)
     p.add_argument("--x", type=float)
-    common(p)
 
-    p = sub.add_parser("verify-lemmas", help="run every numeric verifier")
+    p = command("verify-lemmas", _run_verify_lemmas, "run every numeric verifier")
     p.add_argument("--mertens-limit", type=int, default=10**6)
-    common(p)
 
-    p = sub.add_parser("repsearch", help="representation counts over a range")
+    p = command("repsearch", _run_repsearch, "representation counts over a range", "csv")
     p.add_argument("input")
     p.add_argument("--from", dest="n_lo", type=int, required=True)
     p.add_argument("--to", dest="n_hi", type=int, required=True)
     p.add_argument("--top", dest="top_k", type=int, default=10)
-    common(p)
 
-    p = sub.add_parser("romanoff", help="density of odd prime-plus-power-of-two sums")
+    p = command("romanoff", _run_romanoff, "density of odd prime-plus-power-of-two sums")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--k-min", dest="k_min", type=int, choices=(0, 1), default=1)
-    common(p)
 
-    p = sub.add_parser("gen", help="emit a stock sequence")
+    p = command("gen", _run_gen, "emit a stock sequence", "csv")
     p.add_argument("--kind", choices=SEQUENCE_KINDS, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--ratio", type=int, default=2)
     p.add_argument("--out")
-    common(p)
 
-    p = sub.add_parser("primes", help="prime table statistics")
+    p = command("primes", _run_primes, "prime table statistics")
     p.add_argument("--limit", type=int, required=True)
-    common(p)
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Every parsed option except the subcommand, format and input is a parameter."""
-    params = dict(vars(args))
-    subcommand = params.pop("subcommand")
-    output_format = params.pop("format")
-    input_path = params.pop("input", None)
-    return RunConfig(subcommand, input_path, params, output_format)
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    code, report = dispatch(config_from_args(args))
+    code, report = dispatch(build_parser().parse_args(argv))
     if code == 2:
         print(report, file=sys.stderr)
     elif report:

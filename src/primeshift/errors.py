@@ -9,10 +9,6 @@ class DomainError(PrimeShiftError, ValueError):
     """An argument lies outside an operation's mathematical domain."""
 
 
-class BoundsError(DomainError):
-    """A size or limit argument falls outside the supported range."""
-
-
 class ResourceError(PrimeShiftError):
     """A request would exceed a documented resource guard."""
 

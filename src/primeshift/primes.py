@@ -21,13 +21,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BoundsError, DomainError
+from .errors import DomainError, ResourceError
 
 SIEVE_LIMIT_MAX = 2**40
 
 # Largest value that prime_flags sieves exactly, with the base primes up
-# to its square root (10^6).  Above it, prime_flags sieves with base
-# primes up to 10^6 at most and confirms each survivor with is_prime.
+# to its square root (10^6).  Above it, prime_flags sieves with the same
+# base primes and confirms each survivor with is_prime.
 WINDOW_VALUE_MAX = 10**12
 
 _SEGMENT = 1 << 20
@@ -111,55 +111,46 @@ def prime_flags(lo: int, hi: int) -> np.ndarray:
 
     Returns a fresh ``np.uint8`` array (1 iff prime), read-only by
     convention.  Entries for n < 2 are 0, so negative windows are valid.
-    The window is sieved one ``_SEGMENT`` at a time, split also at
-    ``WINDOW_VALUE_MAX``.  Up to that value each piece is sieved exactly
-    with the base primes up to its square root.  Above it a piece is
-    sieved with the base primes up to min(its width, sqrt(WINDOW_VALUE_MAX)),
-    which clears only composites, and each survivor is confirmed by
-    ``is_prime`` (deterministic Miller-Rabin, exact below 2^64).
+    The window is sieved one ``_SEGMENT`` at a time, each piece with the
+    base primes up to sqrt(min(hi, WINDOW_VALUE_MAX)).  That is exact up
+    to WINDOW_VALUE_MAX; above it the kernel clears only composites, and
+    each survivor is confirmed by ``is_prime`` (deterministic
+    Miller-Rabin, exact below 2^64).
     """
     if lo > hi:
         raise DomainError(f"empty window: lo={lo} > hi={hi}")
     if hi >= 2**63:
         raise DomainError(f"window upper end {hi} exceeds the 64-bit range")
-    end = _piece_end(lo, hi)
-    if end == hi:
+    if hi - lo < _SEGMENT:
         return _piece(lo, hi)
     flags = np.empty(hi - lo + 1, dtype=np.uint8)
-    start = lo
-    while start <= hi:
+    for start in range(lo, hi + 1, _SEGMENT):
+        end = min(start + _SEGMENT - 1, hi)
         flags[start - lo : end - lo + 1] = _piece(start, end)
-        start = end + 1
-        end = _piece_end(start, hi)
     return flags
 
 
-def _piece_end(start: int, hi: int) -> int:
-    """Last value of the piece that starts at ``start``: one segment, cut at WINDOW_VALUE_MAX."""
-    end = min(start + _SEGMENT - 1, hi)
-    return min(end, WINDOW_VALUE_MAX) if start <= WINDOW_VALUE_MAX else end
-
-
 def _piece(lo: int, hi: int) -> np.ndarray:
-    """Exact flags for lo..hi, which lies on one side of WINDOW_VALUE_MAX."""
-    if hi <= WINDOW_VALUE_MAX:
-        return _flags(lo, hi, _base_primes(math.isqrt(max(hi, 0))))
-    # Every base prime p has p^2 <= WINDOW_VALUE_MAX < lo, so the kernel
-    # clears only multiples of p, never a prime; a survivor may still be
-    # a composite with no factor <= bound.
-    bound = min(hi - lo + 1, math.isqrt(WINDOW_VALUE_MAX))
+    """Exact flags for lo..hi, at most one segment wide."""
+    bound = math.isqrt(min(max(hi, 0), WINDOW_VALUE_MAX))
     base = _base_primes(bound)
     flags = _flags(lo, hi, base[: np.searchsorted(base, bound, side="right")])
-    for i in np.flatnonzero(flags).tolist():
-        if not is_prime(lo + i):
-            flags[i] = 0
+    # The kernel clears only multiples >= p^2 of each base prime, never a
+    # prime; past WINDOW_VALUE_MAX a survivor may still be a composite
+    # with no factor <= bound.
+    skip = max(0, WINDOW_VALUE_MAX + 1 - lo)
+    for i in np.flatnonzero(flags[skip:]).tolist():
+        if not is_prime(lo + skip + i):
+            flags[skip + i] = 0
     return flags
 
 
 def prime_segments(limit: int) -> Iterator[np.ndarray]:
     """The primes in [2, limit], ascending, one int64 array per segment; checks ``limit`` now."""
-    if limit < 2 or limit > SIEVE_LIMIT_MAX:
-        raise BoundsError(f"sieve limit must be in [2, 2^40], got {limit}")
+    if limit < 2:
+        raise DomainError(f"sieve limit must be >= 2, got {limit}")
+    if limit > SIEVE_LIMIT_MAX:
+        raise ResourceError(f"sieve limit {limit} exceeds {SIEVE_LIMIT_MAX}")
     return _primes_in(2, limit, _base_primes(math.isqrt(limit)))
 
 

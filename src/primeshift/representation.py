@@ -23,6 +23,9 @@ from .errors import DomainError, ResourceError
 from .primes import nth_prime, prime_flags
 
 RANGE_WIDTH_MAX = 10**9
+# Most records rep_search returns: each costs about 500 bytes on its way
+# to the JSON output.
+TOP_K_MAX = 10**4
 SEQUENCE_KINDS = ("powers_of_two", "divisor_chain", "two_pow_prime")
 
 _CHUNK = 1 << 22
@@ -109,6 +112,8 @@ def rep_search(
         raise DomainError(f"empty range: n_lo={n_lo} > n_hi={n_hi}")
     if top_k < 1:
         raise DomainError(f"top_k must be >= 1, got {top_k}")
+    if top_k > TOP_K_MAX:
+        raise ResourceError(f"top_k {top_k} exceeds {TOP_K_MAX}")
     width = n_hi - n_lo + 1
     if width > RANGE_WIDTH_MAX:
         raise ResourceError(f"range width {width} exceeds {RANGE_WIDTH_MAX}")

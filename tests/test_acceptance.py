@@ -27,7 +27,7 @@ from primeshift import (
     verify_mertens,
     verify_proof_constants,
 )
-from primeshift.cli import RunConfig, dispatch
+from primeshift.cli import build_parser, dispatch
 
 from support import brute_force_admissible, byte_sieve
 
@@ -245,22 +245,24 @@ def test_c10_cli_determinism(tmp_path):
     try:
         set_path = tmp_path / "set.txt"
         set_path.write_text("\n".join(str(v) for v in range(0, 400, 3)) + "\n")
-        configs = [
-            RunConfig("check", str(set_path), {}, "json"),
-            RunConfig("prune", str(set_path), {}, "json"),
-            RunConfig("guarantee", str(set_path), {}, "json"),
-            RunConfig("bound", None, {"ell": 200000, "x": 10**6}, "json"),
-            RunConfig("verify-lemmas", None, {"mertens_limit": 10**6}, "json"),
-            RunConfig("repsearch", str(set_path), {"n_lo": 2, "n_hi": 2000, "top_k": 5}, "json"),
-            RunConfig("romanoff", None, {"limit": 10**5, "k_min": 1}, "json"),
-            RunConfig("gen", None, {"kind": "powers_of_two", "count": 62, "ratio": 2, "out": None}, "json"),
-            RunConfig("primes", None, {"limit": 10**5}, "json"),
+        path = str(set_path)
+        argvs = [
+            ["check", path],
+            ["prune", path],
+            ["guarantee", path],
+            ["bound", "--ell", "200000", "--x", "1e6"],
+            ["verify-lemmas", "--mertens-limit", str(10**6)],
+            ["repsearch", path, "--from", "2", "--to", "2000", "--top", "5"],
+            ["romanoff", "--limit", str(10**5), "--k-min", "1"],
+            ["gen", "--kind", "powers_of_two", "--count", "62", "--ratio", "2"],
+            ["primes", "--limit", str(10**5)],
         ]
-        for config in configs:
-            code_a, report_a = dispatch(config)
-            code_b, report_b = dispatch(config)
-            assert code_a == code_b == 0, config.subcommand
-            assert report_a.encode() == report_b.encode(), config.subcommand
+        for argv in argvs:
+            args = build_parser().parse_args(argv + ["--format", "json"])
+            code_a, report_a = dispatch(args)
+            code_b, report_b = dispatch(args)
+            assert code_a == code_b == 0, argv[0]
+            assert report_a.encode() == report_b.encode(), argv[0]
             json.loads(report_a)  # every report is valid JSON
         assert time.perf_counter() - t0 < budget
         ok = True

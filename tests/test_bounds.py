@@ -88,6 +88,11 @@ class TestClosedFormBounds:
         with pytest.raises(DomainError):
             corollary_bound(2.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_corollary_rejects_non_finite_x(self, x):
+        with pytest.raises(DomainError, match="finite"):
+            corollary_bound(x)
+
     def test_corollary_consistent_with_theorem(self):
         for x in (math.e, 100.0, 10**6, 10**9):
             t = math.ceil(math.log(x)) + 1

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from primeshift import (
 )
 from primeshift import cli
 from primeshift.cli import (
-    RunConfig,
+    build_parser,
     dispatch,
     main,
     parse_input_set,
@@ -53,14 +54,9 @@ _SPAWN_AND_MEASURE = (
 )
 
 
-def run(subcommand, input_path=None, fmt="json", **params):
-    config = RunConfig(
-        subcommand=subcommand,
-        input_path=input_path,
-        params=params,
-        output_format=fmt,
-    )
-    return dispatch(config)
+def run(*argv):
+    """(exit_code, report) of the CLI on ``argv``, parsed as ``main`` parses it."""
+    return dispatch(build_parser().parse_args([str(arg) for arg in argv]))
 
 
 class TestParseInputSet:
@@ -189,14 +185,14 @@ class TestDispatch:
         assert payload["result"]["m"] >= 1
 
     def test_bound_both_values(self):
-        code, report = run("bound", ell=200000, x=10**6)
+        code, report = run("bound", "--ell", 200000, "--x", 10**6)
         assert code == 0
         payload = json.loads(report)
         assert abs(payload["result"]["theorem1"]["value"] - (-0.07424091930872834)) < 1e-12
         assert abs(payload["result"]["corollary"]["value"] - (-1.2717760106904987)) < 1e-12
 
     def test_bound_requires_an_argument(self):
-        code, report = run("bound", ell=None, x=None)
+        code, report = run("bound")
         assert code == 2
         assert "error" in report
 
@@ -208,7 +204,7 @@ class TestDispatch:
         assert "finite" in captured.err
 
     def test_verify_lemmas(self):
-        code, report = run("verify-lemmas", mertens_limit=10**4)
+        code, report = run("verify-lemmas", "--mertens-limit", 10**4)
         assert code == 0
         payload = json.loads(report)
         assert payload["result"]["all_passed"] is True
@@ -216,18 +212,18 @@ class TestDispatch:
 
     def test_repsearch_json_and_csv(self, tmp_path):
         path = write_set(tmp_path, "s.txt", "0\n2\n6\n")
-        code, report = run("repsearch", path, n_lo=2, n_hi=40, top_k=3)
+        code, report = run("repsearch", path, "--from", 2, "--to", 40, "--top", 3)
         assert code == 0
         payload = json.loads(report)
         assert payload["result"]["records"][0] == [13, 3]
-        code, rows = run("repsearch", path, fmt="csv", n_lo=2, n_hi=40, top_k=3)
+        code, rows = run("repsearch", path, "--from", 2, "--to", 40, "--top", 3, "--format", "csv")
         assert code == 0
         parsed = [tuple(map(int, row.split(","))) for row in rows.splitlines()]
         assert (13, 3) in parsed
         assert all(c >= 1 for _, c in parsed)
 
     def test_romanoff(self):
-        code, report = run("romanoff", limit=9, k_min=1)
+        code, report = run("romanoff", "--limit", 9, "--k-min", 1)
         payload = json.loads(report)
         assert code == 0
         assert payload["result"]["representable_count"] == 3
@@ -235,7 +231,7 @@ class TestDispatch:
         assert payload["result"]["density"] == 0.75
 
     def test_gen_large_ints_become_strings(self):
-        code, report = run("gen", kind="powers_of_two", count=62, ratio=2)
+        code, report = run("gen", "--kind", "powers_of_two", "--count", 62, "--ratio", 2)
         assert code == 0
         payload = json.loads(report)
         elements = payload["result"]["elements"]
@@ -244,12 +240,12 @@ class TestDispatch:
 
     def test_gen_out_file_roundtrips(self, tmp_path):
         out = tmp_path / "gen.txt"
-        code, _ = run("gen", kind="divisor_chain", count=5, ratio=3, out=str(out))
+        code, _ = run("gen", "--kind", "divisor_chain", "--count", 5, "--ratio", 3, "--out", out)
         assert code == 0
         assert parse_input_set(str(out)).elements.tolist() == [3, 9, 27, 81, 243]
 
     def test_primes_stats(self):
-        code, report = run("primes", limit=547)
+        code, report = run("primes", "--limit", 547)
         payload = json.loads(report)
         assert code == 0
         assert payload["result"]["count"] == 101
@@ -257,18 +253,25 @@ class TestDispatch:
 
     def test_usage_errors_exit_two(self, tmp_path):
         path = write_set(tmp_path, "s.txt", "1\n2\n")
-        assert run("check", str(tmp_path / "missing.txt"))[0] == 2
-        assert run("check", path, fmt="yaml")[0] == 2
-        assert run("check", path, fmt="csv")[0] == 2
-        assert run("frobnicate", path)[0] == 2
-        assert run("romanoff", limit=2, k_min=1)[0] == 2
+        assert run("check", tmp_path / "missing.txt")[0] == 2
+        assert run("romanoff", "--limit", 2, "--k-min", 1)[0] == 2
         bad = write_set(tmp_path, "bad.txt", "1\nnope\n")
         assert run("check", bad)[0] == 2
+        # The argument parser rejects these before any runner starts.
+        usage = (
+            ["check", path, "--format", "yaml"],
+            ["check", path, "--format", "csv"],
+            ["frobnicate", path],
+        )
+        for argv in usage:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_deterministic_output(self, tmp_path):
         path = write_set(tmp_path, "s.txt", "0\n4\n6\n")
-        first = run("repsearch", path, n_lo=2, n_hi=200, top_k=4)
-        second = run("repsearch", path, n_lo=2, n_hi=200, top_k=4)
+        first = run("repsearch", path, "--from", 2, "--to", 200, "--top", 4)
+        second = run("repsearch", path, "--from", 2, "--to", 200, "--top", 4)
         assert first == second
 
     def test_failed_verification_exits_one(self, monkeypatch):
@@ -277,7 +280,7 @@ class TestDispatch:
 
         broken = LemmaReport("mertens_product_bound", "[74, 74]", -0.5, False)
         monkeypatch.setattr(cli_mod, "verify_mertens", lambda limit: broken)
-        code, report = run("verify-lemmas", mertens_limit=74)
+        code, report = run("verify-lemmas", "--mertens-limit", 74)
         assert code == 1
         assert json.loads(report)["result"]["all_passed"] is False
 
@@ -293,7 +296,39 @@ class TestDispatch:
         assert json.loads(report)["result"]["satisfied"] is False
 
 
+# The smallest valid argv of every subcommand, in the parser's order.
+MINIMAL_ARGV = {
+    "check": ["check", "s.txt"],
+    "prune": ["prune", "s.txt"],
+    "guarantee": ["guarantee", "s.txt"],
+    "bound": ["bound", "--x", "20"],
+    "verify-lemmas": ["verify-lemmas"],
+    "repsearch": ["repsearch", "s.txt", "--from", "2", "--to", "40"],
+    "romanoff": ["romanoff", "--limit", "100"],
+    "gen": ["gen", "--kind", "powers_of_two", "--count", "3"],
+    "primes": ["primes", "--limit", "100"],
+}
+
+
 class TestMain:
+    def test_csv_format_only_on_repsearch_and_gen(self, capsys):
+        assert "{" + ",".join(MINIMAL_ARGV) + "}" in build_parser().format_usage()
+        for name, argv in MINIMAL_ARGV.items():
+            if name in ("repsearch", "gen"):
+                assert build_parser().parse_args(argv + ["--format", "csv"]).format == "csv"
+                continue
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv + ["--format", "csv"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+    def test_top_above_the_cap_exits_two_at_once(self, tmp_path, capsys):
+        path = write_set(tmp_path, "s.txt", "0\n2\n6\n")
+        t0 = time.perf_counter()
+        assert main(["repsearch", path, "--from", "0", "--to", "999999", "--top", "10001"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "top_k 10001 exceeds 10000" in capsys.readouterr().err
+
     def test_main_check(self, tmp_path, capsys):
         path = write_set(tmp_path, "s.txt", "0\n2\n")
         assert main(["check", str(path)]) == 0

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeshift import BoundsError, DomainError, is_prime, nth_prime, prime_flags, sieve
+from primeshift import DomainError, ResourceError, is_prime, nth_prime, prime_flags, sieve
 from primeshift import primes as primes_mod
 
 from support import byte_sieve, trial_division_is_prime, trial_division_primes
@@ -45,14 +45,14 @@ def test_sieve_matches_trial_division():
 
 
 def test_sieve_bounds_errors():
-    with pytest.raises(BoundsError):
+    with pytest.raises(DomainError):
         sieve(1)
-    with pytest.raises(BoundsError):
+    with pytest.raises(ResourceError, match=str(primes_mod.SIEVE_LIMIT_MAX)):
         sieve(2**40 + 1)
     # prime_segments is not itself a generator: the check runs before any iteration.
-    with pytest.raises(BoundsError):
+    with pytest.raises(DomainError):
         primes_mod.prime_segments(1)
-    with pytest.raises(BoundsError):
+    with pytest.raises(ResourceError):
         primes_mod.prime_segments(2**40 + 1)
 
 
@@ -246,6 +246,14 @@ def test_prime_flags_around_base_prime_squares(p):
     sq = p * p
     for lo, hi in [(sq, sq), (sq - 2, sq + 2), (sq - 1, sq + 2 * p + 1), (sq + 1, sq + 4 * p)]:
         assert bytes(prime_flags(lo, hi)) == sieve_oracle(lo, hi), (lo, hi)
+
+
+def test_prime_flags_segments_crossing_window_value_max(monkeypatch):
+    # The middle segment holds 10^12 itself: values up to it are sieved
+    # exactly, the values past it in the same piece are confirmed by is_prime.
+    monkeypatch.setattr(primes_mod, "_SEGMENT", 97)
+    lo, hi = 10**12 - 300, 10**12 + 300
+    assert bytes(prime_flags(lo, hi)) == is_prime_oracle(lo, hi)
 
 
 def test_prime_flags_full_segment_at_the_top_of_int64():

@@ -48,6 +48,15 @@ def test_prime_flags_across_segments_and_cut(lo, span):
     assert bytes(flags) == oracle_flags(lo, lo + span)
 
 
+@pytest.mark.parametrize("cut", [CUT, 528])
+def test_prime_flags_piece_straddling_the_cut(cut, monkeypatch):
+    # One piece holds values on both sides of the cut.  Past it 529 = 23^2
+    # and 667 = 23 * 29 survive the sieve, and only is_prime rejects them;
+    # at cut 528, 529 is the first value past the cut.
+    monkeypatch.setattr(primes_mod, "WINDOW_VALUE_MAX", cut)
+    assert bytes(prime_flags(300, 700)) == oracle_flags(300, 700)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.integers(min_value=0, max_value=80), min_size=1, max_size=8, unique=True),

@@ -135,6 +135,9 @@ class TestRepSearch:
             rep_search(one, 0, 10, 0)
         with pytest.raises(ResourceError):
             rep_search(one, 0, 10**9, 1)
+        assert rep_search(one, 0, 10, representation.TOP_K_MAX).records[0] == (2, 1)
+        with pytest.raises(ResourceError, match="top_k"):
+            rep_search(one, 0, 10, representation.TOP_K_MAX + 1)
 
 
 class TestRomanoff:
