@@ -2,14 +2,17 @@
 
 Every other module sources its primes here, and every prime flag comes
 from one numpy kernel, ``_flags``, run one ``_SEGMENT`` at a time so its
-strided clears stay in cache.  It starts each piece from the tiled
-pattern of the numbers coprime to 2*3*5*7*11*13, then clears the odd
-multiples of each larger base prime.  The base primes live in one shared
-int64 table that grows on demand under one lock; ``nth_prime`` reads the
-same table, and ``prime_flags`` never needs it past
-sqrt(WINDOW_VALUE_MAX).  Primes are enumerated as int64:
-``prime_segments`` yields one array per segment, and ``sieve``
-concatenates them.
+strided clears stay in cache.  The kernel holds one byte per odd number
+only: entry i of a window lo..hi stands for (lo | 1) + 2i, so a segment
+of 2^20 bytes spans 2^21 numbers, and the prime 2 has no entry; handling
+2 is the caller's job.  Each piece starts from the tiled pattern of the
+odd numbers coprime to 3*5*7*11*13, then clears the odd multiples of
+each larger base prime.  The base primes live in one shared int64 table
+that grows on demand under one lock; ``nth_prime`` reads the same
+table, and ``prime_flags`` never needs it past sqrt(WINDOW_VALUE_MAX).
+Primes are enumerated as int64: ``prime_segments`` yields one array per
+segment, with 2 at the head of the first, and ``sieve`` concatenates
+them.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ SIEVE_LIMIT_MAX = 2**40
 # base primes and confirms each survivor with is_prime.
 WINDOW_VALUE_MAX = 10**12
 
+# Flags per kernel piece: one byte per odd number, so a piece spans
+# 2 * _SEGMENT numbers.
 _SEGMENT = 1 << 20
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -49,38 +54,50 @@ class PrimeTable:
         return self.primes.size
 
 
-# The wheel: _COPRIME[r] is 1 iff r is coprime to every prime in _WHEEL_PRIMES.
+# The wheel over odd numbers: _COPRIME[j] is 1 iff the odd number 2j + 1
+# is coprime to every prime in _WHEEL_PRIMES.  Its period is _WHEEL // 2 entries.
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 _WHEEL = math.prod(_WHEEL_PRIMES)
-_COPRIME = (np.gcd(np.arange(_WHEEL), _WHEEL) == 1).astype(np.uint8)
+_COPRIME = (np.gcd(np.arange(1, _WHEEL, 2), _WHEEL) == 1).astype(np.uint8)
 
 
 def _flags(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """uint8 flags for lo..hi (1 iff prime); ``base`` holds every prime <= sqrt(hi), ascending."""
-    width = hi - lo + 1
-    if hi < 2:
+    """uint8 flags for the odd numbers lo | 1, (lo | 1) + 2, ... <= hi (1 iff prime).
+
+    ``base`` holds every prime <= sqrt(hi), ascending.
+    """
+    first = lo | 1
+    width = (hi - first) // 2 + 1
+    if hi < 3:
         return np.zeros(width, dtype=np.uint8)
-    flags = np.resize(np.roll(_COPRIME, -(lo % _WHEEL)), width)
-    for p in _WHEEL_PRIMES:
-        if lo <= p <= hi:
-            flags[p - lo] = 1
-    flags[: max(0, 2 - lo)] = 0
+    flags = np.resize(np.roll(_COPRIME, -(first % _WHEEL // 2)), width)
+    for p in _WHEEL_PRIMES[1:]:
+        if first <= p <= hi:
+            flags[(p - first) // 2] = 1
+    flags[: max(0, (1 - first) // 2 + 1)] = 0  # the odd n <= 1
     # Offsets from s, not values: s + offset may pass 2^63 - 1 where it is never stored.
-    s = max(lo, 2)
+    s = max(first, 3)
     ps = base[len(_WHEEL_PRIMES) : np.searchsorted(base, math.isqrt(hi), side="right")]
     o = np.maximum(-s % ps, ps * ps - s)  # first multiple >= max(p^2, s)
-    o += ps * ((o + (s & 1) + 1) & 1)  # the first odd one: the even ones are already clear
-    o += s - lo
+    o += ps * (o & 1)  # the first odd one: s is odd
+    o += s - first
+    o >>= 1  # an index: odd multiples of p lie p entries apart
     hit = o < width
-    for start, step in zip(o[hit].tolist(), (2 * ps[hit]).tolist()):
+    for start, step in zip(o[hit].tolist(), ps[hit].tolist()):
         flags[start::step] = 0
     return flags
 
 
 def _primes_in(lo: int, hi: int, base: np.ndarray) -> Iterator[np.ndarray]:
-    """The primes in lo..hi, ascending, as one int64 array per _SEGMENT numbers."""
-    for start in range(lo, hi + 1, _SEGMENT):
-        yield start + np.flatnonzero(_flags(start, min(start + _SEGMENT - 1, hi), base).view(bool))
+    """The primes in lo..hi, ascending, as one int64 array per 2 * _SEGMENT numbers."""
+    for start in range(lo, hi + 1, 2 * _SEGMENT):
+        end = min(start + 2 * _SEGMENT - 1, hi)
+        primes = np.flatnonzero(_flags(start, end, base).view(bool))
+        primes *= 2
+        primes += start | 1
+        if start <= 2 <= end:
+            primes = np.concatenate(([2], primes))
+        yield primes
 
 
 # The shared base table, published as one (limit, primes) pair: every prime
@@ -107,13 +124,15 @@ def _base_primes(n: int) -> np.ndarray:
 
 
 def prime_flags(lo: int, hi: int) -> np.ndarray:
-    """Primality flags for the inclusive window lo..hi, exact for any int64 window.
+    """Primality flags for the odd numbers in lo..hi, exact for any int64 window.
 
-    Returns a fresh ``np.uint8`` array (1 iff prime), read-only by
-    convention.  Entries for n < 2 are 0, so negative windows are valid.
-    The window is sieved one ``_SEGMENT`` at a time, each piece with the
-    base primes up to sqrt(min(hi, WINDOW_VALUE_MAX)).  That is exact up
-    to WINDOW_VALUE_MAX; above it the kernel clears only composites, and
+    Returns a fresh ``np.uint8`` array whose entry i is 1 iff (lo | 1) + 2i
+    is prime, read-only by convention.  The prime 2 has no entry, so a
+    window that holds no odd number gives an empty array.  Entries for
+    n < 2 are 0, so negative windows are valid.  The window is sieved
+    2 * ``_SEGMENT`` numbers at a time, each piece with the base primes
+    up to sqrt(min(hi, WINDOW_VALUE_MAX)).  That is exact up to
+    WINDOW_VALUE_MAX; above it the kernel clears only composites, and
     each survivor is confirmed by ``is_prime`` (deterministic
     Miller-Rabin, exact below 2^64).
     """
@@ -121,26 +140,27 @@ def prime_flags(lo: int, hi: int) -> np.ndarray:
         raise DomainError(f"empty window: lo={lo} > hi={hi}")
     if hi >= 2**63:
         raise DomainError(f"window upper end {hi} exceeds the 64-bit range")
-    if hi - lo < _SEGMENT:
+    if hi - lo < 2 * _SEGMENT:
         return _piece(lo, hi)
-    flags = np.empty(hi - lo + 1, dtype=np.uint8)
-    for start in range(lo, hi + 1, _SEGMENT):
-        end = min(start + _SEGMENT - 1, hi)
-        flags[start - lo : end - lo + 1] = _piece(start, end)
+    flags = np.empty((hi - (lo | 1)) // 2 + 1, dtype=np.uint8)
+    for start in range(lo, hi + 1, 2 * _SEGMENT):
+        i = (start - lo) // 2
+        flags[i : i + _SEGMENT] = _piece(start, min(start + 2 * _SEGMENT - 1, hi))
     return flags
 
 
 def _piece(lo: int, hi: int) -> np.ndarray:
-    """Exact flags for lo..hi, at most one segment wide."""
+    """Exact odd-number flags for lo..hi, at most 2 * _SEGMENT numbers wide."""
     bound = math.isqrt(min(max(hi, 0), WINDOW_VALUE_MAX))
     base = _base_primes(bound)
     flags = _flags(lo, hi, base[: np.searchsorted(base, bound, side="right")])
     # The kernel clears only multiples >= p^2 of each base prime, never a
     # prime; past WINDOW_VALUE_MAX a survivor may still be a composite
-    # with no factor <= bound.
-    skip = max(0, WINDOW_VALUE_MAX + 1 - lo)
+    # with no factor <= bound.  Entry skip is the first past it.
+    first = lo | 1
+    skip = max(0, (WINDOW_VALUE_MAX - first) // 2 + 1)
     for i in np.flatnonzero(flags[skip:]).tolist():
-        if not is_prime(lo + skip + i):
+        if not is_prime(first + 2 * (skip + i)):
             flags[skip + i] = 0
     return flags
 

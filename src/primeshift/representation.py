@@ -2,13 +2,16 @@
 
 The count for n against a set A is the number of a in A with n - a
 prime.  ``rep_search`` evaluates it for every n in a range by adding
-shifted slices of prime flags, one per element.  Within each chunk the
-elements fall into runs whose windows overlap or touch, and each run
-shares one prime window, so the sieve covers exactly the union of the
-elements' windows.  Each chunk keeps only its nonzero counts, so memory
-follows the chunk size and the represented n, not the range.
-``prime_flags`` is exact for every 64-bit window, so no path tests
-values one at a time.
+shifted slices of prime flags, one per element.  ``prime_flags`` holds
+one byte per odd number, and n - a is odd or the one even prime 2, so
+each chunk keeps two contiguous half-count arrays, one per parity of n:
+an element adds one slice of odd flags to the half where n - a is odd,
+and 1 at n = a + 2 in the other.  Within each chunk the elements fall
+into runs whose windows overlap or touch, and each run shares one prime
+window, so the sieve covers exactly the union of the elements' windows.
+Each chunk keeps only its nonzero counts, so memory follows the chunk
+size and the represented n, not the range.  ``prime_flags`` is exact
+for every 64-bit window, so no path tests values one at a time.
 """
 
 from __future__ import annotations
@@ -30,12 +33,12 @@ SEQUENCE_KINDS = ("powers_of_two", "divisor_chain", "two_pow_prime")
 
 _CHUNK = 1 << 22
 # Widest min..max element spread within one run, which caps one shared
-# prime window at _SPREAD_MAX + _CHUNK bytes.
+# prime window at (_SPREAD_MAX + _CHUNK) / 2 bytes: one per odd number.
 _SPREAD_MAX = 1 << 26
 # romanoff_counts reads prime_flags in windows of this many numbers: one
-# sieve segment, and a multiple of 16, so each window's odd numbers fill
-# whole bytes of the packed bits.
-_WINDOW = 1 << 20
+# sieve segment of 2^20 odd numbers, and a multiple of 16, so each
+# window's flags fill whole bytes of the packed bits.
+_WINDOW = 1 << 21
 # _POPCOUNT[b] is the number of set bits in the byte b.
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
@@ -80,7 +83,10 @@ class RepresentationProfile:
 def _chunk_counts(elements: list[int], c_lo: int, c_hi: int) -> np.ndarray:
     """Counts for c_lo..c_hi in the narrowest unsigned dtype that holds len(elements)."""
     width = c_hi - c_lo + 1
-    counts = np.zeros(width, dtype=np.min_scalar_type(len(elements)))
+    dtype = np.min_scalar_type(len(elements))
+    # halves[q][t] counts n = c_lo + q + 2t.  Each stays contiguous: adding
+    # into a stride-2 view of one count array costs several times more.
+    halves = (np.zeros((width + 1) // 2, dtype), np.zeros(width // 2, dtype))
     # Element a reads the window c_lo - a..c_hi - a.  A run breaks where a
     # gap leaves a hole between neighbouring windows, or where its spread
     # would pass _SPREAD_MAX.
@@ -91,10 +97,17 @@ def _chunk_counts(elements: list[int], c_lo: int, c_hi: int) -> np.ndarray:
         else:
             runs.append([a])
     for run in runs:
-        a_max = run[-1]
-        flags = prime_flags(c_lo - a_max, c_hi - run[0])
+        lo = c_lo - run[-1]
+        flags = prime_flags(lo, c_hi - run[0])
         for a in run:
-            counts += flags[a_max - a : a_max - a + width]
+            q = (c_lo - a + 1) & 1  # the half where n - a is odd
+            half = halves[q]
+            i = (c_lo + q - a - (lo | 1)) // 2
+            half += flags[i : i + half.size]
+            if c_lo <= a + 2 <= c_hi:  # n - a = 2
+                halves[q ^ 1][(a + 2 - c_lo) // 2] += 1
+    counts = np.empty(width, dtype)
+    counts[0::2], counts[1::2] = halves
     return counts
 
 
@@ -154,10 +167,11 @@ def romanoff_counts(limit: int, k_min: int = 1) -> tuple[int, int]:
     is 0 or 1 (the k = 0 convention adds only n = 3 among odd targets).
     An odd n = p + 2^k with k >= 1 needs an odd p, so the count holds one
     bit per odd number: bit j of a packed little-endian uint8 array
-    stands for n = 2j + 1.  The odd primes' bits are filled one
-    ``prime_flags`` window at a time, and each shift by 2^k moves them
-    up by 2^(k-1) bits.  Memory is two ceil(m/8)-byte arrays for the m
-    odd numbers up to limit, plus one window of flags; the shifts by
+    stands for n = 2j + 1.  The odd primes' bits are packed straight
+    from ``prime_flags``, whose entries are the odd numbers, one
+    ``_WINDOW`` of 2^21 numbers at a time, and each shift by 2^k moves
+    them up by 2^(k-1) bits.  Memory is two ceil(m/8)-byte arrays for the
+    m odd numbers up to limit, plus one window of 2^20 flags; the shifts by
     fewer than 8 bits and the final count each hold one more array of
     that size for a moment.
     """
@@ -171,7 +185,7 @@ def romanoff_counts(limit: int, k_min: int = 1) -> tuple[int, int]:
     odd_primes = np.zeros(-(-m // 8), dtype=np.uint8)
     for lo in range(0, limit + 1, _WINDOW):
         flags = prime_flags(lo, min(lo + _WINDOW - 1, limit))
-        bits = np.packbits(flags[1::2].view(bool), bitorder="little")
+        bits = np.packbits(flags.view(bool), bitorder="little")
         odd_primes[lo // 16 : lo // 16 + bits.size] = bits
     reachable = np.zeros_like(odd_primes)
     # Every k >= 1 with 2^k <= limit - 3, as the smallest odd prime is 3.

@@ -59,6 +59,11 @@ def byte_sieve(limit: int) -> bytearray:
     return flags
 
 
+def odd_entries(flags, lo: int) -> bytes:
+    """Of ``flags``, one entry per number from lo on, the entries at lo | 1, (lo | 1) + 2, ..."""
+    return bytes(flags[(lo | 1) - lo :: 2])
+
+
 def brute_rep_count(n: int, elements, flags: bytearray) -> int:
     """Double-loop representation count against a sieve table."""
     count = 0

@@ -133,8 +133,10 @@ class TestMertens:
 
     @pytest.mark.parametrize("segment", [29, 64])
     def test_segment_edges_keep_margin_and_verdict(self, segment, monkeypatch):
-        # With 29 or 64 the first segment ends below 74, and the primes
-        # below 74 and the first checkpoints straddle segment edges.
+        # A segment spans 2 * segment numbers.  With 29 the first segment
+        # ends below 74, at 59, so the primes below 74 and the first
+        # checkpoints straddle a segment edge; with 64 it ends at 129, and
+        # later checkpoints straddle the edges.
         rng = random.Random(segment)
         samples = [74, 78, 79, 80, 89, 128, 129, 10**4, 2 * 10**4]
         samples += [rng.randint(74, 2 * 10**4) for _ in range(6)]

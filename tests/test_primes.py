@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from primeshift import DomainError, ResourceError, is_prime, nth_prime, prime_flags, sieve
 from primeshift import primes as primes_mod
 
-from support import byte_sieve, trial_division_is_prime, trial_division_primes
+from support import byte_sieve, odd_entries, trial_division_is_prime, trial_division_primes
 
 
 def test_sieve_ten():
@@ -56,10 +56,18 @@ def test_sieve_bounds_errors():
         primes_mod.prime_segments(2**40 + 1)
 
 
+def test_prime_segments_open_with_two():
+    # The kernel has no entry for 2; prime_segments puts it at the head.
+    assert [s.tolist() for s in primes_mod.prime_segments(2)] == [[2]]
+    assert [s.tolist() for s in primes_mod.prime_segments(3)] == [[2, 3]]
+    assert sieve(2).primes.tolist() == [2]
+
+
 @pytest.mark.parametrize("segment", [2, 3, 64, 97])
 def test_tiny_segments_match_oracles(segment, monkeypatch):
     # A tiny segment and an empty shared table force many segment edges
-    # in prime_segments(), sieve() and every growth of the table.
+    # in prime_segments(), sieve() and every growth of the table.  A piece
+    # spans 2 * segment numbers, and 2 opens the first one.
     monkeypatch.setattr(primes_mod, "_SEGMENT", segment)
     monkeypatch.setattr(primes_mod, "_table", (2, np.array([2], dtype=np.int64)))
     limit = 3000
@@ -68,24 +76,25 @@ def test_tiny_segments_match_oracles(segment, monkeypatch):
     for i, p in enumerate(oracle[:60], start=1):
         assert nth_prime(i) == p == sympy.prime(i)
     assert type(nth_prime(60)) is int
-    for top in (2, 3, 4, segment, segment + 1, 2 * segment + 1, 1000, limit):
+    for top in (2, 3, 4, segment, segment + 1, 2 * segment + 1, 2 * segment + 2, 1000, limit):
         table = sieve(top)
         assert table.primes.tolist() == [p for p in oracle if p <= top]
         assert table.primes.dtype == np.int64 and not table.primes.flags.writeable
         segments = list(primes_mod.prime_segments(top))
         assert all(s.dtype == np.int64 for s in segments)
+        assert segments[0][0] == 2
         assert np.array_equal(np.concatenate(segments), table.primes)
-    edges = [segment * k + d for k in (0, 1, 7) for d in (-1, 0, 1)]
-    windows = [(-5, 0), (-3, 1), (-2, 2), (0, 2), (1, 2), (2, 2), (-7, 40)]
-    windows += [(e, e + segment) for e in edges if e >= 0]
+    edges = [2 * segment * k + d for k in (0, 1, 7) for d in (-1, 0, 1)]
+    windows = [(-5, 0), (-3, 1), (-2, 2), (0, 2), (1, 2), (2, 2), (-7, 40), (-8, 40)]
+    windows += [(e, e + 2 * segment) for e in edges if e >= 0]
     windows += [(500, 2999), (2000, limit)]
     for lo, hi in windows:
         expected = bytes(max(0, min(hi, -1) - lo + 1)) + bytes(flags[max(lo, 0) : hi + 1])
         got = prime_flags(lo, hi)
-        assert bytes(got) == expected, (lo, hi)
-        assert [lo + i for i in np.flatnonzero(got).tolist()] == list(
-            sympy.primerange(lo, hi + 1)
-        )
+        assert bytes(got) == odd_entries(expected, lo), (lo, hi)
+        assert [(lo | 1) + 2 * i for i in np.flatnonzero(got).tolist()] == [
+            p for p in sympy.primerange(lo, hi + 1) if p != 2
+        ]
 
 
 def test_nth_prime_basics():
@@ -156,25 +165,41 @@ def test_is_prime_agrees_with_trial_division(n):
 def test_prime_flags_small_window():
     flags = prime_flags(0, 100)
     oracle = byte_sieve(100)
-    assert bytes(flags) == bytes(oracle)
+    assert bytes(flags) == odd_entries(oracle, 0)
 
 
 def test_prime_flags_negative_window():
     flags = prime_flags(-10, 10)
-    assert list(flags[:12]) == [0] * 12  # -10..1
+    assert list(flags[:6]) == [0] * 6  # -9, -7, ..., 1
     oracle = byte_sieve(10)
-    assert bytes(flags[12:]) == bytes(oracle[2:])
+    assert bytes(flags[6:]) == odd_entries(oracle[2:], 2)
+
+
+@pytest.mark.parametrize("lo", [-11, -10, -3, -2, -1])
+def test_prime_flags_negative_windows_by_parity(lo):
+    # Entry i is lo | 1 + 2i for negative lo too: -10 | 1 is -9.
+    oracle = byte_sieve(30)
+    expected = odd_entries(bytes(-lo) + bytes(oracle), lo)
+    assert bytes(prime_flags(lo, 30)) == expected
+    assert len(expected) == (30 - (lo | 1)) // 2 + 1
 
 
 def test_prime_flags_shifted_window():
     lo, hi = 999_000, 1_001_000
     flags = prime_flags(lo, hi)
     oracle = byte_sieve(hi)
-    assert bytes(flags) == bytes(oracle[lo:])
+    assert bytes(flags) == odd_entries(oracle[lo:], lo)
 
 
 def test_prime_flags_all_negative():
-    assert bytes(prime_flags(-20, -3)) == bytes(18)
+    assert bytes(prime_flags(-20, -3)) == bytes(9)  # -19, -17, ..., -3
+
+
+def test_prime_flags_without_odd_numbers_are_empty():
+    # 2 has no entry: a window of one even number holds nothing.
+    for n in (-4, 0, 2, 4, 10**12, 2**63 - 2):
+        flags = prime_flags(n, n)
+        assert flags.dtype == np.uint8 and flags.size == 0, n
 
 
 def test_prime_flags_rejects_bad_window():
@@ -213,14 +238,14 @@ def wheel_edges() -> list[int]:
 def test_prime_flags_small_starts(lo, span):
     # Windows over the wheel primes 2..13, which the wheel pattern clears
     # and the kernel must set back, and over 17^2 and 19^2.
-    assert bytes(prime_flags(lo, lo + span)) == sieve_oracle(lo, lo + span)
+    assert bytes(prime_flags(lo, lo + span)) == odd_entries(sieve_oracle(lo, lo + span), lo)
 
 
 @pytest.mark.parametrize("lo", wheel_edges())
 def test_prime_flags_at_wheel_period_edges(lo):
     hi = lo + 3000
     oracle = sieve_oracle if hi <= EDGE_LIMIT else is_prime_oracle
-    assert bytes(prime_flags(lo, hi)) == oracle(lo, hi)
+    assert bytes(prime_flags(lo, hi)) == odd_entries(oracle(lo, hi), lo)
 
 
 @pytest.mark.parametrize(
@@ -237,7 +262,7 @@ def test_prime_flags_at_wheel_period_edges(lo):
 )
 def test_prime_flags_odd_and_even_starts(lo, hi):
     oracle = sieve_oracle if hi <= EDGE_LIMIT else is_prime_oracle
-    assert bytes(prime_flags(lo, hi)) == oracle(lo, hi)
+    assert bytes(prime_flags(lo, hi)) == odd_entries(oracle(lo, hi), lo)
 
 
 @pytest.mark.parametrize("p", [17, 19, 23, 29, 997, 1009, 1021])
@@ -245,7 +270,7 @@ def test_prime_flags_around_base_prime_squares(p):
     # p^2 is the first multiple of p the kernel clears; the next is p^2 + 2p.
     sq = p * p
     for lo, hi in [(sq, sq), (sq - 2, sq + 2), (sq - 1, sq + 2 * p + 1), (sq + 1, sq + 4 * p)]:
-        assert bytes(prime_flags(lo, hi)) == sieve_oracle(lo, hi), (lo, hi)
+        assert bytes(prime_flags(lo, hi)) == odd_entries(sieve_oracle(lo, hi), lo), (lo, hi)
 
 
 def test_prime_flags_segments_crossing_window_value_max(monkeypatch):
@@ -253,10 +278,10 @@ def test_prime_flags_segments_crossing_window_value_max(monkeypatch):
     # exactly, the values past it in the same piece are confirmed by is_prime.
     monkeypatch.setattr(primes_mod, "_SEGMENT", 97)
     lo, hi = 10**12 - 300, 10**12 + 300
-    assert bytes(prime_flags(lo, hi)) == is_prime_oracle(lo, hi)
+    assert bytes(prime_flags(lo, hi)) == odd_entries(is_prime_oracle(lo, hi), lo)
 
 
 def test_prime_flags_full_segment_at_the_top_of_int64():
     hi = 2**63 - 1
-    lo = hi - primes_mod._SEGMENT + 1
-    assert bytes(prime_flags(lo, hi)) == is_prime_oracle(lo, hi)
+    lo = hi - 2 * primes_mod._SEGMENT + 1
+    assert bytes(prime_flags(lo, hi)) == odd_entries(is_prime_oracle(lo, hi), lo)

@@ -17,7 +17,7 @@ from primeshift import DomainError, IntegerSet, is_prime, prime_flags, rep_searc
 from primeshift import primes as primes_mod
 from primeshift import representation
 
-from support import brute_rep_count, byte_sieve, rep_count
+from support import brute_rep_count, byte_sieve, odd_entries, rep_count
 
 FLAGS = byte_sieve(2000)
 SPREAD_MAX = 40
@@ -37,7 +37,8 @@ def small_paths():
 
 
 def oracle_flags(lo: int, hi: int) -> bytes:
-    return bytes(n >= 0 and FLAGS[n] for n in range(lo, hi + 1))
+    """The byte sieve's flags at the odd numbers of lo..hi, as prime_flags lays them out."""
+    return odd_entries(bytes(n >= 0 and FLAGS[n] for n in range(lo, hi + 1)), lo)
 
 
 @settings(max_examples=150, deadline=None)
@@ -81,6 +82,24 @@ def test_rep_search_paths_match_oracles(offsets, shift, n_lo, span, top_k):
     assert profile.records == tuple(ranked[:top_k])
 
 
+@pytest.mark.parametrize("n_lo", [-40, -39, 6, 7, 1001, 1002])
+def test_rep_search_counts_the_prime_two_at_chunk_edges(n_lo):
+    # The odd flags hold no 2: n = a + 2 is added on its own, into the half
+    # of the other parity.  With _CHUNK = 37 the chunks start at n_lo, e1
+    # and e2, so c_lo takes both parities, and n = a + 2 falls on the first
+    # and the last cell of chunks and right across both edges.  Neighbours
+    # such as e1 - 3 and e1 - 2 share one run and differ in parity.
+    e1, e2 = n_lo + 37, n_lo + 74
+    n_hi = e2 + 20
+    elements = sorted({n_lo - 2, e1 - 3, e1 - 2, e2 - 3, e2 - 2, n_hi - 2, -7, -4, 0, 1})
+    with small_paths():
+        profile = rep_search(IntegerSet(tuple(elements)), n_lo, n_hi, 4)
+    counts = {n: rep_count(n, elements) for n in range(n_lo, n_hi + 1)}
+    assert list(profile.nonzero_items()) == [(n, c) for n, c in counts.items() if c]
+    ranked = sorted(counts.items(), key=lambda t: (-t[1], t[0]))
+    assert profile.records == tuple(ranked[:4])
+
+
 @pytest.mark.parametrize(
     "elements", [(0,), (-7, 0, 12, 250), (-300, 1, 10**8)], ids=["prime", "shared", "per-element"]
 )
@@ -106,7 +125,7 @@ def test_rep_search_n_past_int64():
 
 def test_prime_flags_at_the_top_of_int64():
     lo, hi = 2**63 - 200, 2**63 - 1
-    assert [lo + i for i, f in enumerate(prime_flags(lo, hi)) if f] == [
+    assert [(lo | 1) + 2 * i for i, f in enumerate(prime_flags(lo, hi)) if f] == [
         n for n in range(lo, hi + 1) if is_prime(n)
     ]
     with pytest.raises(DomainError):
