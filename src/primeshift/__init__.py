@@ -34,6 +34,7 @@ from .prune import PruneStep, PruneTrace, greedy_prune, survivor_lower_bound
 from .representation import (
     RepresentationProfile,
     gen_sequence,
+    rep_counts,
     rep_search,
     romanoff_counts,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "maynard_m",
     "nth_prime",
     "prime_flags",
+    "rep_counts",
     "rep_search",
     "romanoff_counts",
     "sieve",

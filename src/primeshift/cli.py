@@ -32,7 +32,8 @@ from .bounds import (
 from .errors import ParseError, PrimeShiftError, ValidationError
 from .primes import prime_segments
 from .prune import greedy_prune
-from .representation import SEQUENCE_KINDS, gen_sequence, rep_search, romanoff_counts
+from .representation import SEQUENCE_KINDS, check_top_k, gen_sequence, rep_counts
+from .representation import rep_search, romanoff_counts
 
 JSON_VERSION = 1
 
@@ -125,7 +126,7 @@ def _set_summary(path: str, int_set: IntegerSet) -> dict[str, Any]:
 
 # Each runner reads the parsed arguments and returns (result, summary,
 # exit_code, text, csv_rows); csv_rows is None unless the subcommand's
-# --format offers csv.
+# --format offers csv.  repsearch's csv path returns csv_rows alone.
 def _run_check(args: argparse.Namespace):
     int_set = parse_input_set(args.input)
     cert = check_admissible(int_set)
@@ -208,6 +209,14 @@ def _run_repsearch(args: argparse.Namespace):
     n_lo = args.n_lo
     n_hi = args.n_hi
     top_k = args.top_k
+    if args.format == "csv":
+        check_top_k(top_k)
+        parts = []
+        for c_lo, counts in rep_counts(int_set, n_lo, n_hi):
+            nz = np.flatnonzero(counts)
+            rows = zip(nz.tolist(), counts[nz].tolist())
+            parts.append("\n".join(f"{c_lo + i},{c}" for i, c in rows))
+        return None, None, 0, None, "\n".join(filter(None, parts))
     profile = rep_search(int_set, n_lo, n_hi, top_k)
     result = {
         "n_lo": n_lo,
@@ -225,10 +234,7 @@ def _run_repsearch(args: argparse.Namespace):
         f"max count {profile.max_count}"
     ]
     text += [f"  n={n} count={c}" for n, c in profile.records]
-    csv_rows = None
-    if args.format == "csv":
-        csv_rows = "\n".join(f"{n},{c}" for n, c in profile.nonzero_items())
-    return result, summary, 0, "\n".join(text), csv_rows
+    return result, summary, 0, "\n".join(text), None
 
 
 def _run_romanoff(args: argparse.Namespace):

@@ -1,7 +1,7 @@
 """Shifted-prime representation counts and desk-scale range searches.
 
 The count for n against a set A is the number of a in A with n - a
-prime.  ``rep_search`` evaluates it for every n in a range by adding
+prime.  ``rep_counts`` evaluates it for every n in a range by adding
 shifted slices of prime flags, one per element.  ``prime_flags`` holds
 one byte per odd number, and n - a is odd or the one even prime 2, so
 each chunk keeps two contiguous half-count arrays, one per parity of n:
@@ -9,9 +9,9 @@ an element adds one slice of odd flags to the half where n - a is odd,
 and 1 at n = a + 2 in the other.  Within each chunk the elements fall
 into runs whose windows overlap or touch, and each run shares one prime
 window, so the sieve covers exactly the union of the elements' windows.
-Each chunk keeps only its nonzero counts, so memory follows the chunk
-size and the represented n, not the range.  ``prime_flags`` is exact
-for every 64-bit window, so no path tests values one at a time.
+``rep_search`` keeps only two totals and each chunk's record candidates,
+so memory follows the chunk size, not the range.  ``prime_flags`` is
+exact for every 64-bit window, so no path tests values one at a time.
 """
 
 from __future__ import annotations
@@ -43,37 +43,22 @@ _WINDOW = 1 << 21
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RepresentationProfile:
-    """Counts over [n_lo, n_hi] plus the top records.
+    """Totals over [n_lo, n_hi] plus the top records.
 
-    ``offsets`` holds n - n_lo for every n with a nonzero count,
-    ascending, and ``nonzero_counts`` their counts; both are read-only
-    int64 arrays.  Offsets rather than n keep every entry inside int64
-    even where n itself is not.  Records hold the true top-k pairs
-    (n, count), count descending, ties to the smaller n.
+    ``represented_count`` is the number of n with a nonzero count and
+    ``total_representations`` the sum of all counts.  Records hold the
+    true top-k pairs (n, count), count descending, ties to the smaller
+    n.  ``rep_counts`` yields every count.
     """
 
     int_set: IntegerSet
     n_lo: int
     n_hi: int
-    offsets: np.ndarray
-    nonzero_counts: np.ndarray
+    represented_count: int
+    total_representations: int
     records: tuple[tuple[int, int], ...]
-
-    def nonzero_items(self) -> Iterator[tuple[int, int]]:
-        """(n, count) pairs with count >= 1, ascending n."""
-        n_lo = self.n_lo
-        pairs = zip(self.offsets.tolist(), self.nonzero_counts.tolist())
-        return ((n_lo + i, c) for i, c in pairs)
-
-    @property
-    def represented_count(self) -> int:
-        return int(self.offsets.size)
-
-    @property
-    def total_representations(self) -> int:
-        return int(self.nonzero_counts.sum())
 
     @property
     def max_count(self) -> int:
@@ -111,36 +96,43 @@ def _chunk_counts(elements: list[int], c_lo: int, c_hi: int) -> np.ndarray:
     return counts
 
 
-def _frozen(parts: list[np.ndarray]) -> np.ndarray:
-    merged = np.concatenate(parts)
-    merged.setflags(write=False)
-    return merged
+def rep_counts(int_set: IntegerSet, n_lo: int, n_hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(c_lo, counts) for each chunk of ``_CHUNK`` n from n_lo to n_hi; checks the range now.
 
-
-def rep_search(
-    int_set: IntegerSet, n_lo: int, n_hi: int, top_k: int
-) -> RepresentationProfile:
-    """Exact counts for every n in [n_lo, n_hi] plus the top_k records."""
+    counts[i] is the exact count for n = c_lo + i, in the narrowest
+    unsigned dtype that holds the set's size.
+    """
     if n_lo > n_hi:
         raise DomainError(f"empty range: n_lo={n_lo} > n_hi={n_hi}")
-    if top_k < 1:
-        raise DomainError(f"top_k must be >= 1, got {top_k}")
-    if top_k > TOP_K_MAX:
-        raise ResourceError(f"top_k {top_k} exceeds {TOP_K_MAX}")
     width = n_hi - n_lo + 1
     if width > RANGE_WIDTH_MAX:
         raise ResourceError(f"range width {width} exceeds {RANGE_WIDTH_MAX}")
     elements = int_set.elements.tolist()
     if n_lo - elements[-1] < INT64_MIN or n_hi - elements[0] > INT64_MAX:
         raise DomainError("n - a leaves the 64-bit range on this search range")
+    return (
+        (c_lo, _chunk_counts(elements, c_lo, min(c_lo + _CHUNK - 1, n_hi)))
+        for c_lo in range(n_lo, n_hi + 1, _CHUNK)
+    )
 
-    offsets: list[np.ndarray] = []
-    nonzero: list[np.ndarray] = []
+
+def check_top_k(top_k: int) -> None:
+    """Reject a top_k that ``rep_search`` cannot report."""
+    if top_k < 1:
+        raise DomainError(f"top_k must be >= 1, got {top_k}")
+    if top_k > TOP_K_MAX:
+        raise ResourceError(f"top_k {top_k} exceeds {TOP_K_MAX}")
+
+
+def rep_search(int_set: IntegerSet, n_lo: int, n_hi: int, top_k: int) -> RepresentationProfile:
+    """The totals and top_k records over [n_lo, n_hi], read chunk by chunk from ``rep_counts``.
+
+    Checks top_k, then the range, before any counting.
+    """
+    check_top_k(top_k)
+    represented = total = 0
     candidates: list[tuple[int, int]] = []  # (count, n) chunk winners
-
-    for c_lo in range(n_lo, n_hi + 1, _CHUNK):
-        c_hi = min(c_lo + _CHUNK - 1, n_hi)
-        counts = _chunk_counts(elements, c_lo, c_hi)
+    for c_lo, counts in rep_counts(int_set, n_lo, n_hi):
         # Any global record is a record within its chunk, so per-chunk
         # winners are enough to merge exactly; a winner's count is at
         # least the chunk's k-th largest.  Counts are unsigned: widen what
@@ -149,15 +141,11 @@ def rep_search(
         top = np.flatnonzero(counts >= np.partition(counts, -k)[-k])
         order = top[np.argsort(-counts[top].astype(np.int64), kind="stable")][:top_k]
         candidates.extend((int(counts[i]), c_lo + int(i)) for i in order)
-        nz = np.flatnonzero(counts)
-        offsets.append(nz + (c_lo - n_lo))
-        nonzero.append(counts[nz].astype(np.int64))
-
+        represented += int(np.count_nonzero(counts))
+        total += int(counts.sum(dtype=np.int64))
     candidates.sort(key=lambda t: (-t[0], t[1]))
     records = tuple((n, c) for c, n in candidates[:top_k])
-    return RepresentationProfile(
-        int_set, n_lo, n_hi, _frozen(offsets), _frozen(nonzero), records
-    )
+    return RepresentationProfile(int_set, n_lo, n_hi, represented, total, records)
 
 
 def romanoff_counts(limit: int, k_min: int = 1) -> tuple[int, int]:

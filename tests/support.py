@@ -79,6 +79,15 @@ def rep_count(n: int, elements) -> int:
     return sum(1 for a in elements if sympy.isprime(n - a))
 
 
+def nonzero_pairs(chunks) -> list[tuple[int, int]]:
+    """The (n, count) pairs with count >= 1, ascending n.
+
+    ``chunks`` holds (c_lo, counts) pairs such as ``rep_counts`` yields:
+    counts[i] is the count for n = c_lo + i.
+    """
+    return [(c_lo + i, c) for c_lo, counts in chunks for i, c in enumerate(counts.tolist()) if c]
+
+
 def romanoff_oracle(limit: int, k_min: int) -> tuple[int, int]:
     """(representable, total) over the odd n in [3, limit], by n = p + 2^k, k >= k_min.
 

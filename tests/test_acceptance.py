@@ -21,6 +21,7 @@ from primeshift import (
     guarantee,
     maynard_m,
     nth_prime,
+    rep_counts,
     rep_search,
     romanoff_counts,
     survivor_lower_bound,
@@ -29,7 +30,7 @@ from primeshift import (
 )
 from primeshift.cli import build_parser, dispatch
 
-from support import brute_force_admissible, byte_sieve
+from support import brute_force_admissible, byte_sieve, nonzero_pairs
 
 
 def _report(num, name, budget, elapsed, ok):
@@ -187,7 +188,7 @@ def test_c07_representation_oracle_to_10k():
         ]
         mismatches = 0
         for int_set in sets:
-            counts = dict(rep_search(int_set, 0, 10**4, 5).nonzero_items())
+            counts = dict(nonzero_pairs(rep_counts(int_set, 0, 10**4)))
             for n in range(0, 10**4 + 1):
                 expected = 0
                 for a in int_set.elements:

@@ -324,10 +324,14 @@ class TestMain:
 
     def test_top_above_the_cap_exits_two_at_once(self, tmp_path, capsys):
         path = write_set(tmp_path, "s.txt", "0\n2\n6\n")
-        t0 = time.perf_counter()
-        assert main(["repsearch", path, "--from", "0", "--to", "999999", "--top", "10001"]) == 2
-        assert time.perf_counter() - t0 < 1.0
-        assert "top_k 10001 exceeds 10000" in capsys.readouterr().err
+        refusals = [("10001", "top_k 10001 exceeds 10000"), ("0", "top_k must be >= 1, got 0")]
+        for fmt in ("json", "csv"):
+            for top, message in refusals:
+                argv = ["repsearch", path, "--from", "0", "--to", "999999", "--top", top]
+                t0 = time.perf_counter()
+                assert main(argv + ["--format", fmt]) == 2
+                assert time.perf_counter() - t0 < 1.0
+                assert message in capsys.readouterr().err, (fmt, top)
 
     def test_main_check(self, tmp_path, capsys):
         path = write_set(tmp_path, "s.txt", "0\n2\n")

@@ -9,15 +9,16 @@ checked against is_prime and the tests/support.py oracles.
 
 import contextlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeshift import DomainError, IntegerSet, is_prime, prime_flags, rep_search
+from primeshift import DomainError, IntegerSet, is_prime, prime_flags, rep_counts, rep_search
 from primeshift import primes as primes_mod
 from primeshift import representation
 
-from support import brute_rep_count, byte_sieve, odd_entries, rep_count
+from support import brute_rep_count, byte_sieve, nonzero_pairs, odd_entries, rep_count
 
 FLAGS = byte_sieve(2000)
 SPREAD_MAX = 40
@@ -71,11 +72,12 @@ def test_rep_search_paths_match_oracles(offsets, shift, n_lo, span, top_k):
     n_hi = n_lo + span
     with small_paths():
         profile = rep_search(int_set, n_lo, n_hi, top_k)
+        pairs = nonzero_pairs(rep_counts(int_set, n_lo, n_hi))
     expected = {n: brute_rep_count(n, int_set.elements, FLAGS) for n in range(n_lo, n_hi + 1)}
     for n, count in expected.items():
         assert count == rep_count(n, int_set.elements.tolist()), n
     nonzero = [(n, c) for n, c in expected.items() if c]
-    assert list(profile.nonzero_items()) == nonzero
+    assert pairs == nonzero
     assert profile.represented_count == len(nonzero)
     assert profile.total_representations == sum(expected.values())
     ranked = sorted(expected.items(), key=lambda t: (-t[1], t[0]))
@@ -92,12 +94,34 @@ def test_rep_search_counts_the_prime_two_at_chunk_edges(n_lo):
     e1, e2 = n_lo + 37, n_lo + 74
     n_hi = e2 + 20
     elements = sorted({n_lo - 2, e1 - 3, e1 - 2, e2 - 3, e2 - 2, n_hi - 2, -7, -4, 0, 1})
+    int_set = IntegerSet(tuple(elements))
     with small_paths():
-        profile = rep_search(IntegerSet(tuple(elements)), n_lo, n_hi, 4)
+        profile = rep_search(int_set, n_lo, n_hi, 4)
+        pairs = nonzero_pairs(rep_counts(int_set, n_lo, n_hi))
     counts = {n: rep_count(n, elements) for n in range(n_lo, n_hi + 1)}
-    assert list(profile.nonzero_items()) == [(n, c) for n, c in counts.items() if c]
+    assert pairs == [(n, c) for n, c in counts.items() if c]
     ranked = sorted(counts.items(), key=lambda t: (-t[1], t[0]))
     assert profile.records == tuple(ranked[:4])
+
+
+@pytest.mark.parametrize("n_lo, n_hi", [(-120, -1), (-40, 70), (5, 5), (1000, 1110)])
+def test_rep_counts_chunks_tile_the_range(n_lo, n_hi):
+    # Chunks of _CHUNK = 37 start at n_lo; the last ends at n_hi.  rep_search's
+    # totals are the sums over those chunks, across chunk edges and for
+    # negative n.
+    elements = (-7, -4, 0, 1, 12, 30)
+    int_set = IntegerSet(elements)
+    with small_paths():
+        chunks = list(rep_counts(int_set, n_lo, n_hi))
+        profile = rep_search(int_set, n_lo, n_hi, 3)
+    assert [c_lo for c_lo, _ in chunks] == list(range(n_lo, n_hi + 1, 37))
+    assert all(counts.size == 37 for _, counts in chunks[:-1])
+    assert chunks[-1][0] + chunks[-1][1].size - 1 == n_hi
+    assert all(np.issubdtype(counts.dtype, np.unsignedinteger) for _, counts in chunks)
+    counts = np.concatenate([counts for _, counts in chunks])
+    assert counts.tolist() == [rep_count(n, elements) for n in range(n_lo, n_hi + 1)]
+    assert profile.represented_count == sum(int(np.count_nonzero(c)) for _, c in chunks)
+    assert profile.total_representations == sum(int(c.sum()) for _, c in chunks)
 
 
 @pytest.mark.parametrize(
@@ -108,7 +132,7 @@ def test_rep_search_straddles_window_value_max(elements):
     lo, hi = 10**12 - 300, 10**12 + 300
     profile = rep_search(int_set, lo, hi, 5)
     counts = {n: rep_count(n, elements) for n in range(lo, hi + 1)}
-    assert list(profile.nonzero_items()) == [(n, c) for n, c in counts.items() if c]
+    assert nonzero_pairs(rep_counts(int_set, lo, hi)) == [(n, c) for n, c in counts.items() if c]
     assert profile.total_representations == sum(counts.values())
 
 
@@ -119,7 +143,7 @@ def test_rep_search_n_past_int64():
     lo, hi = 2**63 - 60, 2**63 + 60
     profile = rep_search(int_set, lo, hi, 3)
     counts = {n: rep_count(n, elements) for n in range(lo, hi + 1)}
-    assert list(profile.nonzero_items()) == [(n, c) for n, c in counts.items() if c]
+    assert nonzero_pairs(rep_counts(int_set, lo, hi)) == [(n, c) for n, c in counts.items() if c]
     assert profile.records == tuple(sorted(counts.items(), key=lambda t: (-t[1], t[0]))[:3])
 
 
@@ -154,8 +178,7 @@ def test_chunk_windows_group_by_gap_and_spread(elements, spread_max, windows, mo
 
     monkeypatch.setattr(representation, "prime_flags", recording)
     monkeypatch.setattr(representation, "_SPREAD_MAX", spread_max)
-    int_set = IntegerSet(elements)
-    profile = rep_search(int_set, 100, 109, 3)
+    pairs = nonzero_pairs(rep_counts(IntegerSet(elements), 100, 109))
     assert calls == windows
     counts = {n: rep_count(n, elements) for n in range(100, 110)}
-    assert list(profile.nonzero_items()) == [(n, c) for n, c in counts.items() if c]
+    assert pairs == [(n, c) for n, c in counts.items() if c]

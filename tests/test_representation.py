@@ -11,13 +11,14 @@ from primeshift import (
     IntegerSet,
     ResourceError,
     gen_sequence,
+    rep_counts,
     rep_search,
     romanoff_counts,
 )
 from primeshift import primes as primes_mod
 from primeshift import representation
 
-from support import brute_rep_count, byte_sieve, rep_count, romanoff_oracle
+from support import brute_rep_count, byte_sieve, nonzero_pairs, rep_count, romanoff_oracle
 
 FLAGS_10K = byte_sieve(10**4 + 10)
 
@@ -68,7 +69,7 @@ class TestRepSearch:
             IntegerSet((-7, 0, 12)),
         ]
         for int_set in sets:
-            counts = dict(rep_search(int_set, 0, 2000, 4).nonzero_items())
+            counts = dict(nonzero_pairs(rep_counts(int_set, 0, 2000)))
             for n in range(0, 2001):
                 assert counts.get(n, 0) == brute_rep_count(
                     n, int_set.elements, FLAGS_10K
@@ -77,7 +78,7 @@ class TestRepSearch:
     def test_records_are_true_top_k(self):
         int_set = IntegerSet((1, 2, 3))
         profile = rep_search(int_set, 0, 500, 7)
-        counts = dict(profile.nonzero_items())
+        counts = dict(nonzero_pairs(rep_counts(int_set, 0, 500)))
         pairs = sorted(
             ((n, counts.get(n, 0)) for n in range(0, 501)),
             key=lambda t: (-t[1], t[0]),
@@ -88,29 +89,33 @@ class TestRepSearch:
         dense = rep_search(IntegerSet((0,)), 0, 10**6 - 1, 3)
         sparse = rep_search(IntegerSet((0,)), 0, 10**6, 3)
         assert dense.total_representations <= sparse.total_representations
-        assert dict(dense.nonzero_items()).items() <= dict(sparse.nonzero_items()).items()
+        dense_pairs = nonzero_pairs(rep_counts(IntegerSet((0,)), 0, 10**6 - 1))
+        sparse_pairs = nonzero_pairs(rep_counts(IntegerSet((0,)), 0, 10**6))
+        assert dict(dense_pairs).items() <= dict(sparse_pairs).items()
+        assert dense.represented_count == len(dense_pairs)
+        assert sparse.total_representations == sum(c for _, c in sparse_pairs)
 
     def test_wide_spread_uses_per_element_windows(self):
         int_set = IntegerSet((0, 10**8))  # spread beyond the shared-window cap
         lo, hi = 10**8 + 2, 10**8 + 2000
-        counts = dict(rep_search(int_set, lo, hi, 3).nonzero_items())
+        counts = dict(nonzero_pairs(rep_counts(int_set, lo, hi)))
         for n in range(lo, hi + 1, 97):
             assert counts.get(n, 0) == rep_count(n, int_set.elements.tolist())
 
     def test_per_query_fallback_matches_rep_count(self):
         int_set = IntegerSet((2**62, 2**62 + 6))
         lo = 2**62 + 2
-        counts = dict(rep_search(int_set, lo, lo + 120, 3).nonzero_items())
+        counts = dict(nonzero_pairs(rep_counts(int_set, lo, lo + 120)))
         for n in range(lo, lo + 121):
             assert counts.get(n, 0) == rep_count(n, int_set.elements.tolist())
 
     def test_shift_covariance(self):
         rng = random.Random(229845)
         base = IntegerSet((0, 4, 10))
-        reference = dict(rep_search(base, 0, 400, 3).nonzero_items())
+        reference = dict(nonzero_pairs(rep_counts(base, 0, 400)))
         for shift in (1, -3, 17, 1000):
             shifted = IntegerSet(tuple(a + shift for a in base.elements))
-            moved = dict(rep_search(shifted, shift, 400 + shift, 3).nonzero_items())
+            moved = dict(nonzero_pairs(rep_counts(shifted, shift, 400 + shift)))
             for n in rng.sample(range(401), 40):
                 assert moved.get(n + shift, 0) == reference.get(n, 0)
 
@@ -127,8 +132,29 @@ class TestRepSearch:
             )
         assert profile.total_representations == expected
 
+    def test_memory_follows_the_chunk_not_the_width(self):
+        # One chunk's counts, its two halves, the shared prime window of the
+        # elements up to 2^23 and the top-k partition copy: a few bytes per
+        # cell of one chunk.  The 4.6 * 10^6 represented n would take 70 MiB
+        # as one int64 offset and one int64 count each.
+        int_set = gen_sequence("powers_of_two", 40)
+        tracemalloc.start()
+        try:
+            rep_search(int_set, 503, 503 + 10**7 - 1, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * representation._CHUNK
+
     def test_guards(self):
         one = IntegerSet((0,))
+        # rep_counts checks the range when called, before the first chunk.
+        with pytest.raises(DomainError):
+            rep_counts(one, 10, 9)
+        with pytest.raises(ResourceError):
+            rep_counts(one, 0, 10**9)
+        with pytest.raises(DomainError, match="64-bit"):
+            rep_counts(IntegerSet((-(2**62),)), 2**62, 2**62 + 10)
         with pytest.raises(DomainError):
             rep_search(one, 10, 9, 1)
         with pytest.raises(DomainError):

@@ -4,10 +4,11 @@ import ast
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import support
-from support import brute_force_admissible, prime_reciprocal_product
+from support import brute_force_admissible, nonzero_pairs, prime_reciprocal_product
 
 
 def test_support_imports_nothing_from_primeshift():
@@ -36,3 +37,12 @@ class TestBruteForce:
 def test_exact_product_small():
     assert prime_reciprocal_product(10) == Fraction(35, 16)
     assert prime_reciprocal_product(2) == Fraction(1)
+
+
+def test_nonzero_pairs_skips_zeros_across_chunks():
+    chunks = [
+        (-2, np.array([0, 2, 1], np.uint8)),
+        (1, np.array([0, 0], np.uint8)),
+        (3, np.array([3], np.uint16)),
+    ]
+    assert nonzero_pairs(chunks) == [(-1, 2), (0, 1), (3, 3)]
