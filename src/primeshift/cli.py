@@ -17,7 +17,7 @@ import json
 import re
 import sys
 import warnings
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -125,8 +125,9 @@ def _set_summary(path: str, int_set: IntegerSet) -> dict[str, Any]:
 
 
 # Each runner reads the parsed arguments and returns (result, summary,
-# exit_code, text, csv_rows); csv_rows is None unless the subcommand's
-# --format offers csv.  repsearch's csv path returns csv_rows alone.
+# exit_code, text, csv_blocks); csv_blocks is an iterable of text blocks,
+# or None unless the subcommand's --format offers csv.  repsearch's csv
+# path returns csv_blocks alone.
 def _run_check(args: argparse.Namespace):
     int_set = parse_input_set(args.input)
     cert = check_admissible(int_set)
@@ -211,12 +212,7 @@ def _run_repsearch(args: argparse.Namespace):
     top_k = args.top_k
     if args.format == "csv":
         check_top_k(top_k)
-        parts = []
-        for c_lo, counts in rep_counts(int_set, n_lo, n_hi):
-            nz = np.flatnonzero(counts)
-            rows = zip(nz.tolist(), counts[nz].tolist())
-            parts.append("\n".join(f"{c_lo + i},{c}" for i, c in rows))
-        return None, None, 0, None, "\n".join(filter(None, parts))
+        return None, None, 0, None, _csv_rows(rep_counts(int_set, n_lo, n_hi))
     profile = rep_search(int_set, n_lo, n_hi, top_k)
     result = {
         "n_lo": n_lo,
@@ -235,6 +231,19 @@ def _run_repsearch(args: argparse.Namespace):
     ]
     text += [f"  n={n} count={c}" for n, c in profile.records]
     return result, summary, 0, "\n".join(text), None
+
+
+def _csv_rows(chunks: Iterator[tuple[int, np.ndarray]]) -> Iterator[str]:
+    """The rows "n,count" of every nonzero count, as one block per 2^16 n,
+    so memory holds one chunk's counts and at most 2^16 row strings.
+    """
+    for c_lo, counts in chunks:
+        for b in range(0, counts.size, 1 << 16):
+            block = counts[b : b + (1 << 16)]
+            nz = np.flatnonzero(block)
+            if nz.size:
+                rows = zip(nz.tolist(), block[nz].tolist())
+                yield "\n".join(f"{c_lo + b + i},{c}" for i, c in rows)
 
 
 def _run_romanoff(args: argparse.Namespace):
@@ -269,7 +278,7 @@ def _run_gen(args: argparse.Namespace):
         "elements": elements,
     }
     summary = {"kind": kind, "count": count, "ratio": ratio}
-    return result, summary, 0, listing, listing
+    return result, summary, 0, listing, (listing,)
 
 
 def _run_primes(args: argparse.Namespace):
@@ -284,19 +293,20 @@ def _run_primes(args: argparse.Namespace):
     return result, {"limit": limit}, 0, text, None
 
 
-def dispatch(args: argparse.Namespace) -> tuple[int, str]:
+def dispatch(args: argparse.Namespace) -> tuple[int, str | Iterable[str]]:
     """Run the parsed subcommand's runner; returns (exit_code, report).
 
     Exit 2 reports are error messages, others are in the requested
-    format.  Output is a pure function of the arguments, so identical
-    runs yield identical bytes.
+    format: a csv report is an iterable of text blocks, each one or more
+    lines, and every other report one string.  Output is a pure function
+    of the arguments, so identical runs yield identical bytes.
     """
     try:
-        result, summary, code, text, csv_rows = args.run(args)
+        result, summary, code, text, csv_blocks = args.run(args)
     except (PrimeShiftError, OSError) as exc:
         return 2, f"error: {exc}"
     if args.format == "csv":
-        return code, csv_rows
+        return code, csv_blocks
     if args.format == "text":
         return code, text
     envelope = {
@@ -366,8 +376,9 @@ def main(argv: list[str] | None = None) -> int:
     code, report = dispatch(build_parser().parse_args(argv))
     if code == 2:
         print(report, file=sys.stderr)
-    elif report:
-        print(report)
+    else:
+        for block in (report,) if isinstance(report, str) else report:
+            print(block)
     return code
 
 

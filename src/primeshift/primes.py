@@ -1,18 +1,18 @@
 """Prime generation, nth-prime lookup, and exact 64-bit primality testing.
 
-Every other module sources its primes here, and every prime flag comes
-from one numpy kernel, ``_flags``, run one ``_SEGMENT`` at a time so its
-strided clears stay in cache.  The kernel holds one byte per odd number
-only: entry i of a window lo..hi stands for (lo | 1) + 2i, so a segment
-of 2^20 bytes spans 2^21 numbers, and the prime 2 has no entry; handling
-2 is the caller's job.  Each piece starts from the tiled pattern of the
-odd numbers coprime to 3*5*7*11*13, then clears the odd multiples of
-each larger base prime.  The base primes live in one shared int64 table
-that grows on demand under one lock; ``nth_prime`` reads the same
-table, and ``prime_flags`` never needs it past sqrt(WINDOW_VALUE_MAX).
-Primes are enumerated as int64: ``prime_segments`` yields one array per
-segment, with 2 at the head of the first, and ``sieve`` concatenates
-them.
+Every other module sources its primes here, and every prime comes from
+``prime_flags``: one numpy kernel, ``_flags``, run one ``_SEGMENT`` at a
+time so its strided clears stay in cache.  The kernel holds one byte per
+odd number only: entry i of a window lo..hi stands for (lo | 1) + 2i, so
+a segment of 2^20 bytes spans 2^21 numbers, and the prime 2 has no entry;
+handling 2 is the caller's job.  Each piece starts from the tiled pattern
+of the odd numbers coprime to 3*5*7*11*13, then clears the odd multiples
+of each larger base prime.  The base primes live in one shared int64
+table that grows on demand under one lock, through ``prime_flags`` too;
+``nth_prime`` reads the same table.  Primes are enumerated as int64 up
+to WINDOW_VALUE_MAX = 10^12, where the sieve alone is exact:
+``prime_segments`` yields one array per segment, with 2 at the head of
+the first, and ``sieve`` concatenates them.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 
-SIEVE_LIMIT_MAX = 2**40
-
-# Largest value that prime_flags sieves exactly, with the base primes up
-# to its square root (10^6).  Above it, prime_flags sieves with the same
-# base primes and confirms each survivor with is_prime.
+# Largest value that prime_flags sieves exactly, with the base primes up to
+# its square root (10^6), and the most prime_segments enumerates.  Above it,
+# prime_flags confirms each survivor of the same sieve with is_prime.
 WINDOW_VALUE_MAX = 10**12
 
 # Flags per kernel piece: one byte per odd number, so a piece spans
@@ -88,11 +86,11 @@ def _flags(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _primes_in(lo: int, hi: int, base: np.ndarray) -> Iterator[np.ndarray]:
+def _primes_in(lo: int, hi: int) -> Iterator[np.ndarray]:
     """The primes in lo..hi, ascending, as one int64 array per 2 * _SEGMENT numbers."""
     for start in range(lo, hi + 1, 2 * _SEGMENT):
         end = min(start + 2 * _SEGMENT - 1, hi)
-        primes = np.flatnonzero(_flags(start, end, base).view(bool))
+        primes = np.flatnonzero(prime_flags(start, end).view(bool))
         primes *= 2
         primes += start | 1
         if start <= 2 <= end:
@@ -115,11 +113,12 @@ def _base_primes(n: int) -> np.ndarray:
         with _lock:
             limit, primes = _table
             while limit < n:
-                # Squaring at most keeps sqrt(top) inside the current table.
+                # Squaring at most keeps sqrt(top) inside the published table, so
+                # the prime_flags calls below read it and never take the lock.
                 top = min(max(n, 2 * limit), limit * limit)
-                primes = np.concatenate([primes, *_primes_in(limit + 1, top, primes)])
+                primes = np.concatenate([primes, *_primes_in(limit + 1, top)])
                 limit = top
-            _table = (limit, primes)
+                _table = (limit, primes)
     return primes
 
 
@@ -169,9 +168,9 @@ def prime_segments(limit: int) -> Iterator[np.ndarray]:
     """The primes in [2, limit], ascending, one int64 array per segment; checks ``limit`` now."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    if limit > SIEVE_LIMIT_MAX:
-        raise ResourceError(f"sieve limit {limit} exceeds {SIEVE_LIMIT_MAX}")
-    return _primes_in(2, limit, _base_primes(math.isqrt(limit)))
+    if limit > WINDOW_VALUE_MAX:
+        raise ResourceError(f"sieve limit {limit} exceeds WINDOW_VALUE_MAX = {WINDOW_VALUE_MAX}")
+    return _primes_in(2, limit)
 
 
 def sieve(limit: int) -> PrimeTable:

@@ -9,8 +9,8 @@ an element adds one slice of odd flags to the half where n - a is odd,
 and 1 at n = a + 2 in the other.  Within each chunk the elements fall
 into runs whose windows overlap or touch, and each run shares one prime
 window, so the sieve covers exactly the union of the elements' windows.
-``rep_search`` keeps only two totals and each chunk's record candidates,
-so memory follows the chunk size, not the range.  ``prime_flags`` is
+``rep_search`` keeps only two totals and a running top-k, so memory
+follows the chunk size and k, not the range.  ``prime_flags`` is
 exact for every 64-bit window, so no path tests values one at a time.
 """
 
@@ -124,27 +124,38 @@ def check_top_k(top_k: int) -> None:
         raise ResourceError(f"top_k {top_k} exceeds {TOP_K_MAX}")
 
 
+def _chunk_records(c_lo: int, counts: np.ndarray, top_k: int) -> list[tuple[int, int]]:
+    """The chunk's top_k records as (-count, n): every count above the k-th
+    largest, then the first ties at it in ascending n, found one block of
+    2^16 n at a time so that a chunk of ties never becomes one index array.
+    """
+    k = min(top_k, counts.size)
+    kth = np.partition(counts, -k)[-k]
+    above = np.flatnonzero(counts > kth)
+    records = [(-c, c_lo + i) for i, c in zip(above.tolist(), counts[above].tolist())]
+    for b in range(0, counts.size, 1 << 16):
+        if len(records) == k:
+            break
+        ties = np.flatnonzero(counts[b : b + (1 << 16)] == kth)[: k - len(records)]
+        records += [(-int(kth), c_lo + b + i) for i in ties.tolist()]
+    return records
+
+
 def rep_search(int_set: IntegerSet, n_lo: int, n_hi: int, top_k: int) -> RepresentationProfile:
     """The totals and top_k records over [n_lo, n_hi], read chunk by chunk from ``rep_counts``.
 
-    Checks top_k, then the range, before any counting.
+    Checks top_k, then the range, before any counting.  Any global record
+    is a record within its chunk, so merging each chunk's top_k into the
+    running top_k is exact, and memory holds at most 2 * top_k records.
     """
     check_top_k(top_k)
     represented = total = 0
-    candidates: list[tuple[int, int]] = []  # (count, n) chunk winners
+    best: list[tuple[int, int]] = []  # (-count, n), in record order
     for c_lo, counts in rep_counts(int_set, n_lo, n_hi):
-        # Any global record is a record within its chunk, so per-chunk
-        # winners are enough to merge exactly; a winner's count is at
-        # least the chunk's k-th largest.  Counts are unsigned: widen what
-        # is kept, and before negating.
-        k = min(top_k, counts.size)
-        top = np.flatnonzero(counts >= np.partition(counts, -k)[-k])
-        order = top[np.argsort(-counts[top].astype(np.int64), kind="stable")][:top_k]
-        candidates.extend((int(counts[i]), c_lo + int(i)) for i in order)
+        best = sorted(best + _chunk_records(c_lo, counts, top_k))[:top_k]
         represented += int(np.count_nonzero(counts))
         total += int(counts.sum(dtype=np.int64))
-    candidates.sort(key=lambda t: (-t[0], t[1]))
-    records = tuple((n, c) for c, n in candidates[:top_k])
+    records = tuple((n, -c) for c, n in best)
     return RepresentationProfile(int_set, n_lo, n_hi, represented, total, records)
 
 

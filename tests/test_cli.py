@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -27,6 +28,8 @@ from primeshift.cli import (
     main,
     parse_input_set,
 )
+
+from support import nonzero_pairs
 
 
 def write_set(tmp_path, name, text):
@@ -216,8 +219,9 @@ class TestDispatch:
         assert code == 0
         payload = json.loads(report)
         assert payload["result"]["records"][0] == [13, 3]
-        code, rows = run("repsearch", path, "--from", 2, "--to", 40, "--top", 3, "--format", "csv")
+        code, blocks = run("repsearch", path, "--from", 2, "--to", 40, "--top", 3, "--format", "csv")
         assert code == 0
+        rows = "\n".join(blocks)
         parsed = [tuple(map(int, row.split(","))) for row in rows.splitlines()]
         assert (13, 3) in parsed
         assert all(c >= 1 for _, c in parsed)
@@ -372,6 +376,34 @@ class TestMain:
         result = json.loads(proc.stdout)["result"]
         assert (result["count"], result["largest"]) == (5761455, 99999989)
         assert max_rss_kb < 100 * 1024
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+    def test_repsearch_csv_memory_follows_the_block(self, tmp_path):
+        # About 4.6 * 10^6 rows, 45 MB of text: the rows are written in
+        # blocks of 2^16 n, never one chunk's 4 * 10^6 row strings at once.
+        path = write_set(tmp_path, "s.txt", "\n".join(str(1 << i) for i in range(1, 41)))
+        out = tmp_path / "rows.csv"
+        with open(out, "wb") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-c", _SPAWN_AND_MEASURE, sys.executable, "-m", "primeshift.cli"]
+                + ["repsearch", path, "--from", "503", "--to", str(503 + 10**7 - 1), "--format", "csv"],
+                stdout=fh,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=cli_env(),
+            )
+        code, max_rss_kb = map(int, proc.stderr.split())
+        assert code == 0
+        int_set = parse_input_set(path)
+        # The rows of the first two blocks, then the number of all rows.
+        head = nonzero_pairs(primeshift.rep_counts(int_set, 503, 503 + 2 * 2**16 - 1))
+        with open(out, encoding="utf-8") as fh:
+            rows = [tuple(map(int, line.split(","))) for line in itertools.islice(fh, len(head))]
+            assert rows == head
+            assert len(rows) + sum(1 for _ in fh) == primeshift.rep_search(
+                int_set, 503, 503 + 10**7 - 1, 1
+            ).represented_count
+        assert max_rss_kb < 150 * 1024
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
     def test_mertens_memory_follows_the_segment(self):

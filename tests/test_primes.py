@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -47,13 +48,19 @@ def test_sieve_matches_trial_division():
 def test_sieve_bounds_errors():
     with pytest.raises(DomainError):
         sieve(1)
-    with pytest.raises(ResourceError, match=str(primes_mod.SIEVE_LIMIT_MAX)):
-        sieve(2**40 + 1)
+    ceiling = primes_mod.WINDOW_VALUE_MAX
+    with pytest.raises(ResourceError, match=f"WINDOW_VALUE_MAX = {ceiling}"):
+        sieve(ceiling + 1)
     # prime_segments is not itself a generator: the check runs before any iteration.
     with pytest.raises(DomainError):
         primes_mod.prime_segments(1)
-    with pytest.raises(ResourceError):
-        primes_mod.prime_segments(2**40 + 1)
+    with pytest.raises(ResourceError, match=f"WINDOW_VALUE_MAX = {ceiling}"):
+        primes_mod.prime_segments(ceiling + 1)
+
+
+def test_prime_segments_accepts_its_ceiling():
+    # Only the check runs: the segments themselves are never iterated.
+    primes_mod.prime_segments(primes_mod.WINDOW_VALUE_MAX)
 
 
 def test_prime_segments_open_with_two():
@@ -94,6 +101,31 @@ def test_tiny_segments_match_oracles(segment, monkeypatch):
         assert [(lo | 1) + 2 * i for i in np.flatnonzero(got).tolist()] == [
             p for p in sympy.primerange(lo, hi + 1) if p != 2
         ]
+
+
+def test_table_growth_on_two_threads_matches_oracles(monkeypatch):
+    # Growing the shared table sieves through prime_flags, which asks the
+    # table for its base primes again; a growth step that took the lock a
+    # second time would hang here.  One thread grows the table through
+    # nth_prime while the other reads flags that need it grown.
+    monkeypatch.setattr(primes_mod, "_SEGMENT", 5)
+    monkeypatch.setattr(primes_mod, "_table", (2, np.array([2], dtype=np.int64)))
+    results = {}
+
+    def run(name, job):
+        results[name] = job()
+
+    threads = [
+        threading.Thread(target=run, args=("nth", lambda: nth_prime(400)), daemon=True),
+        threading.Thread(target=run, args=("flags", lambda: bytes(prime_flags(0, 3000))), daemon=True),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads), "table growth deadlocked"
+    assert results["nth"] == trial_division_primes(3000)[399] == sympy.prime(400)
+    assert results["flags"] == odd_entries(bytes(byte_sieve(3000)), 0)
 
 
 def test_nth_prime_basics():

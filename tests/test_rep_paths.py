@@ -124,6 +124,20 @@ def test_rep_counts_chunks_tile_the_range(n_lo, n_hi):
     assert profile.total_representations == sum(int(c.sum()) for _, c in chunks)
 
 
+@pytest.mark.parametrize("top_k", [1, 3, 20, 40, 150])
+@pytest.mark.parametrize("elements", [(10**6,), (-7, -4, 0, 1, 12, 30)], ids=["all-ties", "mixed"])
+def test_rep_search_ties_across_chunk_edges(elements, top_k):
+    # With _CHUNK = 37 the ties at the k-th count spread over several
+    # chunks; each chunk yields its first ties in ascending n, and the
+    # running merge must keep the smallest n among them.  top_k 150 is
+    # more than the 111 n in the range.
+    n_lo, n_hi = -40, 70
+    with small_paths():
+        profile = rep_search(IntegerSet(elements), n_lo, n_hi, top_k)
+    counts = [(n, rep_count(n, elements)) for n in range(n_lo, n_hi + 1)]
+    assert profile.records == tuple(sorted(counts, key=lambda t: (-t[1], t[0]))[:top_k])
+
+
 @pytest.mark.parametrize(
     "elements", [(0,), (-7, 0, 12, 250), (-300, 1, 10**8)], ids=["prime", "shared", "per-element"]
 )

@@ -146,6 +146,29 @@ class TestRepSearch:
             tracemalloc.stop()
         assert peak < 8 * representation._CHUNK
 
+    def test_memory_of_an_all_ties_range_follows_the_chunk(self):
+        # n - 10^12 < 0 for every n, so every count is 0 and every n ties
+        # at the k-th count.  Each chunk yields only its first k ties; an
+        # index array of a whole chunk of ties would take 32 MiB alone.
+        tracemalloc.start()
+        try:
+            profile = rep_search(IntegerSet((10**12,)), 0, 10**7 - 1, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile.records == tuple((n, 0) for n in range(10))
+        assert peak < 8 * representation._CHUNK
+
+    def test_ties_past_the_first_block_of_a_chunk(self):
+        # Count 1 exactly at the primes: the 10^4 records are the first 10^4
+        # primes, and the 6542 primes below 2^16 fill only the first block
+        # of ties.  The width is just under one chunk, then just over it.
+        flags = byte_sieve(200_000)
+        primes = [p for p in range(2, 200_000) if flags[p]]
+        for n_hi in (representation._CHUNK - 1, representation._CHUNK + 10**5):
+            profile = rep_search(IntegerSet((0,)), 0, n_hi, 10**4)
+            assert profile.records == tuple((p, 1) for p in primes[: 10**4])
+
     def test_guards(self):
         one = IntegerSet((0,))
         # rep_counts checks the range when called, before the first chunk.
