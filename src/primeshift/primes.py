@@ -7,12 +7,17 @@ odd number only: entry i of a window lo..hi stands for (lo | 1) + 2i, so
 a segment of 2^20 bytes spans 2^21 numbers, and the prime 2 has no entry;
 handling 2 is the caller's job.  Each piece starts from the tiled pattern
 of the odd numbers coprime to 3*5*7*11*13, then clears the odd multiples
-of each larger base prime.  The base primes live in one shared int64
-table that grows on demand under one lock, through ``prime_flags`` too;
-``nth_prime`` reads the same table.  Primes are enumerated as int64 up
-to WINDOW_VALUE_MAX = 10^12, where the sieve alone is exact:
-``prime_segments`` yields one array per segment, with 2 at the head of
-the first, and ``sieve`` concatenates them.
+of each larger base prime: one strided slice per prime with many hits in
+the piece, and a few vectorized rounds for all the sparse ones together,
+after the bucket sieve of Oliveira e Silva, Herzog and Pardi (Math. Comp.
+83, 2014).  The base primes stop at 10^6, the square root of
+WINDOW_VALUE_MAX, so the sieve alone is exact below (10^6 + 1)^2; past
+that, each survivor is confirmed by ``is_prime``.  The base primes live
+in one shared int64 table that grows on demand under one lock, through
+``prime_flags`` too; ``nth_prime`` reads the same table.  Primes are
+enumerated as int64 up to WINDOW_VALUE_MAX = 10^12: ``prime_segments``
+yields one array per segment, with 2 at the head of the first, and
+``sieve`` concatenates them.
 """
 
 from __future__ import annotations
@@ -26,14 +31,20 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 
-# Largest value that prime_flags sieves exactly, with the base primes up to
-# its square root (10^6), and the most prime_segments enumerates.  Above it,
-# prime_flags confirms each survivor of the same sieve with is_prime.
+# The most prime_segments enumerates, and the cap on the values whose square
+# root bounds the base primes (10^6).  The sieve alone is exact below
+# (10^6 + 1)^2 = 1 000 002 000 001; from there on, prime_flags confirms each
+# survivor of the same sieve with is_prime.
 WINDOW_VALUE_MAX = 10**12
 
 # Flags per kernel piece: one byte per odd number, so a piece spans
 # 2 * _SEGMENT numbers.
 _SEGMENT = 1 << 20
+
+# Base primes with fewer hits than this in a piece are cleared in vectorized
+# rounds instead of one slice each.  A full piece below 2^30 has none: its
+# base primes stay below 2^15 = _SEGMENT // 32.
+_SPARSE_HITS = 32
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Deterministic Miller-Rabin witnesses covering all n < 2^64.
@@ -60,9 +71,11 @@ _COPRIME = (np.gcd(np.arange(1, _WHEEL, 2), _WHEEL) == 1).astype(np.uint8)
 
 
 def _flags(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """uint8 flags for the odd numbers lo | 1, (lo | 1) + 2, ... <= hi (1 iff prime).
+    """uint8 flags for the odd numbers lo | 1, (lo | 1) + 2, ... <= hi.
 
-    ``base`` holds every prime <= sqrt(hi), ascending.
+    ``base`` holds every prime up to some bound, ascending.  An entry is 1
+    iff its value is at least 2 and no base prime <= sqrt(hi) divides it
+    but itself: exact primality for the values below (bound + 1)^2.
     """
     first = lo | 1
     width = (hi - first) // 2 + 1
@@ -81,8 +94,19 @@ def _flags(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     o += s - first
     o >>= 1  # an index: odd multiples of p lie p entries apart
     hit = o < width
-    for start, step in zip(o[hit].tolist(), ps[hit].tolist()):
+    o, ps = o[hit], ps[hit]
+    # Each p <= width // _SPARSE_HITS has at least _SPARSE_HITS hits and gets
+    # one strided slice.  The sparser primes after them are cleared together,
+    # one hit each per round, so in at most _SPARSE_HITS rounds.
+    dense = np.searchsorted(ps, width // _SPARSE_HITS, side="right")
+    for start, step in zip(o[:dense].tolist(), ps[:dense].tolist()):
         flags[start::step] = 0
+    o, ps = o[dense:], ps[dense:]
+    while o.size:
+        flags[o] = 0
+        o += ps
+        live = o < width
+        o, ps = o[live], ps[live]
     return flags
 
 
@@ -130,10 +154,12 @@ def prime_flags(lo: int, hi: int) -> np.ndarray:
     window that holds no odd number gives an empty array.  Entries for
     n < 2 are 0, so negative windows are valid.  The window is sieved
     2 * ``_SEGMENT`` numbers at a time, each piece with the base primes
-    up to sqrt(min(hi, WINDOW_VALUE_MAX)).  That is exact up to
-    WINDOW_VALUE_MAX; above it the kernel clears only composites, and
-    each survivor is confirmed by ``is_prime`` (deterministic
-    Miller-Rabin, exact below 2^64).
+    up to bound = isqrt(min(hi, WINDOW_VALUE_MAX)) of its own hi.  The
+    kernel clears only composites, and a composite it leaves has no prime
+    factor <= bound, so it is at least (bound + 1)^2.  The sieve alone is
+    therefore exact below (10^6 + 1)^2, and each survivor from there on
+    is confirmed by ``is_prime`` (deterministic Miller-Rabin, exact below
+    2^64).
     """
     if lo > hi:
         raise DomainError(f"empty window: lo={lo} > hi={hi}")
@@ -149,15 +175,18 @@ def prime_flags(lo: int, hi: int) -> np.ndarray:
 
 
 def _piece(lo: int, hi: int) -> np.ndarray:
-    """Exact odd-number flags for lo..hi, at most 2 * _SEGMENT numbers wide."""
+    """Exact odd-number flags for lo..hi, at most 2 * _SEGMENT numbers wide.
+
+    The kernel's flags, with each survivor >= (bound + 1)^2 confirmed by ``is_prime``.
+    """
     bound = math.isqrt(min(max(hi, 0), WINDOW_VALUE_MAX))
     base = _base_primes(bound)
     flags = _flags(lo, hi, base[: np.searchsorted(base, bound, side="right")])
     # The kernel clears only multiples >= p^2 of each base prime, never a
-    # prime; past WINDOW_VALUE_MAX a survivor may still be a composite
-    # with no factor <= bound.  Entry skip is the first past it.
+    # prime.  A composite survivor has no prime factor <= bound, so it is
+    # at least (bound + 1)^2; entry skip is the first value that large.
     first = lo | 1
-    skip = max(0, (WINDOW_VALUE_MAX - first) // 2 + 1)
+    skip = max(0, ((bound + 1) ** 2 - first + 1) // 2)
     for i in np.flatnonzero(flags[skip:]).tolist():
         if not is_prime(first + 2 * (skip + i)):
             flags[skip + i] = 0
@@ -180,21 +209,14 @@ def sieve(limit: int) -> PrimeTable:
     return PrimeTable(limit, primes)
 
 
-def _nth_upper_bound(i: int) -> int:
-    # p_i < i (ln i + ln ln i) for i >= 6; small cases hard-coded.
-    if i < 6:
-        return 13
-    x = i * (math.log(i) + math.log(math.log(i)))
-    return int(x) + 10
-
-
 def nth_prime(i: int) -> int:
     """The i-th prime, 1-indexed (nth_prime(1) == 2)."""
     if i < 1:
         raise DomainError(f"prime index must be >= 1, got {i}")
-    primes = _table[1]
-    if i > len(primes):
-        primes = _base_primes(_nth_upper_bound(i))
+    limit, primes = _table
+    while primes.size < i:
+        limit *= 2
+        primes = _base_primes(limit)
     return int(primes[i - 1])
 
 

@@ -5,7 +5,10 @@ input paths are echoed in the JSON summary, so they stay relative) and
 compares stdout with ``tests/golden/<case>.<ext>`` byte for byte.  The
 repsearch cases reach each internal path: one shared prime window, one
 window per element (spread above ``_SPREAD_MAX``), windows below zero,
-the Miller-Rabin fallback past 10^12, and sparse storage.
+windows across 10^12, where the base primes stop at 10^6, and the wide
+``repsearch_sparse`` range.  No case reaches the is_prime confirmation,
+which starts at (10^6 + 1)^2; tests/test_primes.py and
+tests/test_rep_paths.py check it.
 
 A golden file changes only when the output contract changes on purpose.
 To rewrite them after such a change: ``python tests/test_golden.py``.

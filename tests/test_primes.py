@@ -140,6 +140,15 @@ def test_nth_prime_basics():
         nth_prime(-3)
 
 
+def test_nth_prime_grows_the_table_by_doubling(monkeypatch):
+    # pi(1000) = 168 and pi(2000) = 303: nth_prime(169) doubles the table to
+    # 2000 and nth_prime(304) to 4000; the others read the table as it is.
+    monkeypatch.setattr(primes_mod, "_table", (1000, np.array(trial_division_primes(1000))))
+    for i, limit in [(168, 1000), (169, 2000), (303, 2000), (304, 4000)]:
+        assert nth_prime(i) == sympy.prime(i)
+        assert primes_mod._table[0] == limit, i
+
+
 def test_nth_prime_against_trial_division():
     oracle = trial_division_primes(600)
     for i, p in enumerate(oracle, start=1):
@@ -289,6 +298,8 @@ def test_prime_flags_at_wheel_period_edges(lo):
         (10**12 - 1000, 10**12 + 1000),
         (10**12 + 1, 10**12 + 3001),
         (10**12 + 2, 10**12 + 3002),
+        # Both sides of (10^6 + 1)^2: from there on the sieve leaves survivors to is_prime.
+        ((10**6 + 1) ** 2 - 1000, (10**6 + 1) ** 2 + 1000),
     ],
 )
 def test_prime_flags_odd_and_even_starts(lo, hi):
@@ -304,11 +315,39 @@ def test_prime_flags_around_base_prime_squares(p):
         assert bytes(prime_flags(lo, hi)) == odd_entries(sieve_oracle(lo, hi), lo), (lo, hi)
 
 
-def test_prime_flags_segments_crossing_window_value_max(monkeypatch):
-    # The middle segment holds 10^12 itself: values up to it are sieved
-    # exactly, the values past it in the same piece are confirmed by is_prime.
+@pytest.mark.parametrize("mid", [10**12, (10**6 + 1) ** 2])
+def test_prime_flags_small_pieces_around_the_edges(mid, monkeypatch):
+    # Pieces of 2 * 97 numbers.  Around 10^12 the base primes reach their
+    # cap of 10^6 and the sieve alone stays exact.  The middle piece around
+    # (10^6 + 1)^2 holds values below it, which the sieve alone decides,
+    # and values from it on, whose survivors is_prime confirms.
     monkeypatch.setattr(primes_mod, "_SEGMENT", 97)
-    lo, hi = 10**12 - 300, 10**12 + 300
+    lo, hi = mid - 300, mid + 300
+    assert bytes(prime_flags(lo, hi)) == odd_entries(is_prime_oracle(lo, hi), lo)
+
+
+def test_prime_flags_clear_the_least_composite_the_sieve_misses():
+    # 1000003 is the least prime past 10^6, so its square is the least odd
+    # composite with no prime factor <= 10^6: only is_prime clears it.
+    n = sympy.nextprime(10**6) ** 2
+    assert n == 1000003**2
+    lo, hi = n - 1000, n + 1000
+    flags = prime_flags(lo, hi)
+    assert flags[(n - (lo | 1)) // 2] == 0
+    assert bytes(flags) == odd_entries(is_prime_oracle(lo, hi), lo)
+
+
+@pytest.mark.parametrize("lo", [10**10, 10**11, 10**12 - 10**5])
+def test_prime_flags_at_the_sparse_threshold(lo):
+    # One piece of _SPARSE_HITS * 1009 entries: 1009 has exactly
+    # _SPARSE_HITS hits and takes a slice, the primes just above it have
+    # one hit fewer and are cleared in rounds, the primes below have more.
+    sparse_hits = primes_mod._SPARSE_HITS
+    width = sparse_hits * 1009
+    hi = lo + 2 * width - 1
+    first = lo | 1
+    hits = {len(range((p - first) // 2 % p, width, p)) for p in sympy.primerange(17, 2 * 1009)}
+    assert {sparse_hits - 1, sparse_hits, sparse_hits + 1} <= hits
     assert bytes(prime_flags(lo, hi)) == odd_entries(is_prime_oracle(lo, hi), lo)
 
 

@@ -1,10 +1,11 @@
 """Differential tests that drive rep_search and prime_flags down every path.
 
-Shrinking the chunk, spread, segment and sieve-cut constants lets
-small generated sets and ranges reach shared windows split by gaps and
-by spread, chunk edges, segment edges and windows that straddle the cut
-between exact sieving and Miller-Rabin confirmation.  Each result is
-checked against is_prime and the tests/support.py oracles.
+Shrinking the chunk, spread, segment, sparse-prime and sieve-cut
+constants lets small generated sets and ranges reach shared windows
+split by gaps and by spread, chunk edges, segment edges, pieces that
+clear some base primes by slices and others in rounds, and windows that
+straddle the bound past which survivors get Miller-Rabin confirmation.
+Each result is checked against is_prime and the tests/support.py oracles.
 """
 
 import contextlib
@@ -22,9 +23,10 @@ from support import brute_rep_count, byte_sieve, nonzero_pairs, odd_entries, rep
 
 FLAGS = byte_sieve(2000)
 SPREAD_MAX = 40
-# Above the cut only primes <= sqrt(400) = 20 sieve, so composites such
-# as 23 * 29 survive and must be rejected by is_prime.
-CUT = 400
+# Above the cut only primes <= isqrt(1000) = 31 sieve, so the survivors
+# from 32^2 = 1024 on are confirmed, and composites such as 37^2 = 1369
+# and 37 * 41 = 1517 must be rejected by is_prime.
+CUT = 1000
 
 
 @contextlib.contextmanager
@@ -33,6 +35,8 @@ def small_paths():
         mp.setattr(representation, "_CHUNK", 37)
         mp.setattr(representation, "_SPREAD_MAX", SPREAD_MAX)
         mp.setattr(primes_mod, "_SEGMENT", 29)
+        # A full piece of 29 entries clears 17..29 by slices and 31 in rounds.
+        mp.setattr(primes_mod, "_SPARSE_HITS", 1)
         mp.setattr(primes_mod, "WINDOW_VALUE_MAX", CUT)
         yield
 
@@ -50,11 +54,12 @@ def test_prime_flags_across_segments_and_cut(lo, span):
     assert bytes(flags) == oracle_flags(lo, lo + span)
 
 
-@pytest.mark.parametrize("cut", [CUT, 528])
+@pytest.mark.parametrize("cut", [400, 528])
 def test_prime_flags_piece_straddling_the_cut(cut, monkeypatch):
-    # One piece holds values on both sides of the cut.  Past it 529 = 23^2
-    # and 667 = 23 * 29 survive the sieve, and only is_prime rejects them;
-    # at cut 528, 529 is the first value past the cut.
+    # One piece holds values on both sides of (bound + 1)^2, bound =
+    # isqrt(cut).  Past it 529 = 23^2 and 667 = 23 * 29 survive the sieve,
+    # and only is_prime rejects them; at cut 528 the bound is 22, so 529 is
+    # the first value confirmed.
     monkeypatch.setattr(primes_mod, "WINDOW_VALUE_MAX", cut)
     assert bytes(prime_flags(300, 700)) == oracle_flags(300, 700)
 
