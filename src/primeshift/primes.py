@@ -175,10 +175,7 @@ def prime_flags(lo: int, hi: int) -> np.ndarray:
 
 
 def _piece(lo: int, hi: int) -> np.ndarray:
-    """Exact odd-number flags for lo..hi, at most 2 * _SEGMENT numbers wide.
-
-    The kernel's flags, with each survivor >= (bound + 1)^2 confirmed by ``is_prime``.
-    """
+    """Exact odd-number flags for lo..hi, at most 2 * _SEGMENT numbers wide."""
     bound = math.isqrt(min(max(hi, 0), WINDOW_VALUE_MAX))
     base = _base_primes(bound)
     flags = _flags(lo, hi, base[: np.searchsorted(base, bound, side="right")])
