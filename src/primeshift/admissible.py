@@ -117,7 +117,8 @@ class ResidueClasses:
     uint64 offsets u = a - a_min, which cannot overflow (the spread is at
     most 2^64 - 1), as u - (u // p) * p into buffers reused from prime to
     prime; counts by offset residue are rolled by a_min mod p into
-    counts by class.
+    counts by class.  The probe reduces only the offsets that one
+    wrapping multiply per offset cannot rule out of its classes.
     """
 
     def __init__(self, elements: np.ndarray) -> None:
@@ -129,6 +130,7 @@ class ResidueClasses:
         self._min = int(elements[0])
         self._p = 1
         self._shift = 0
+        self._counted = False
 
     @property
     def size(self) -> int:
@@ -142,44 +144,67 @@ class ResidueClasses:
         """``(r, None)`` for the smallest class r mod p that holds no element,
         else ``(None, counts)`` with the count of every class in [0, p).
 
-        When the probe window is narrower than p, only the classes below it
-        are counted first; the full count runs only if all of them are hit.
+        When four probe windows fit below p, only the classes below one
+        window are counted first; the full count runs only if all of them
+        are hit.
         """
         n = self._offsets.size
+        # Class c mod p holds the offsets with residue (c + shift) mod p.
+        self._p, self._shift = p, -self._min % p
+        self._counted = False
+        window = _PROBE_FACTOR * math.exp(min(n / p, 700.0))
+        if 4 * window < p:
+            found = self._probe(math.ceil(window))
+            if found is not None:
+                return found, None
         u, q, r = self._offsets, self._quot[:n], self._res[:n]
         p_u = np.uint64(p)
         np.floor_divide(u, p_u, out=q)
         np.multiply(q, p_u, out=q)
         np.subtract(u, q, out=r)
-        # Class c mod p holds the offsets with residue (c + shift) mod p.
-        self._p, self._shift = p, -self._min % p
-        window = _PROBE_FACTOR * math.exp(min(n / p, 700.0))
-        if window < p:
-            found = self._probe(r, math.ceil(window))
-            if found is not None:
-                return found, None
+        self._counted = True
         counts = np.roll(np.bincount(r.view(np.int64), minlength=p), -self._shift)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             return int(empty[0]), None
         return None, counts
 
-    def _probe(self, r: np.ndarray, window: int) -> int | None:
-        """The smallest empty class below ``window`` (< p), or None when all are hit."""
-        p, shift = self._p, self._shift
-        end = shift + window
-        if end <= p:
-            d = np.subtract(r, np.uint64(shift), out=self._quot[: r.size])
-            classes = d[d < window]
-        else:
-            classes = (r[(r >= shift) | (r < end - p)] + np.uint64(p - shift)) % np.uint64(p)
+    def _probe(self, window: int) -> int | None:
+        """The smallest empty class below ``window`` (< p), or None when all are hit.
+
+        For u = qp + r and M = ceil(2^64 / p), u*M mod 2^64 lies in
+        [r 2^64/p, r 2^64/p + u) mod 2^64 (Lemire, Kaser and Kurz, "Faster
+        Remainder by Direct Computation", 2019).  So with
+        lo = floor(shift 2^64 / p), f = u*M - lo mod 2^64 is below ``arc``
+        for every offset in classes [0, window), window wrap past p - 1
+        included, and only those candidates are reduced exactly.  When
+        ``arc`` reaches 2^64 every offset is a candidate.
+        """
+        p, shift, u = self._p, self._shift, self._offsets
+        lo = (shift << 64) // p
+        arc = -(-(((shift + window - 1) << 64) + int(u[-1]) * p) // p) + 1 - lo
+        if arc < 1 << 64:
+            f = self._quot[: u.size]
+            np.multiply(u, np.uint64(-(-(1 << 64) // p)), out=f)
+            np.subtract(f, np.uint64(lo), out=f)
+            u = u[f < np.uint64(arc)]
+        p_u = np.uint64(p)
+        classes = (u % p_u + np.uint64(p - shift)) % p_u
+        classes = classes[classes < window]
         empty = np.flatnonzero(np.bincount(classes.view(np.int64), minlength=window) == 0)
         return int(empty[0]) if empty.size else None
 
     def drop(self, residue: int) -> None:
-        """Remove the elements in class ``residue`` modulo the prime last counted."""
+        """Remove the elements in class ``residue`` modulo the prime last counted.
+
+        Only the full count fills the residues, so this must follow a
+        ``(None, counts)`` return of ``smallest_empty`` for the same prime.
+        """
+        if not self._counted:
+            raise RuntimeError("drop needs the residues of a full count of the last prime")
         n = self._offsets.size
         self._offsets = self._offsets[self._res[:n] != (residue + self._shift) % self._p]
+        self._counted = False
 
 
 def check_admissible(int_set: IntegerSet) -> AdmissibilityCertificate:

@@ -139,6 +139,12 @@ def residues_all_covered(elements, p: int) -> bool:
     return len({a % p for a in elements}) == p
 
 
+def smallest_empty_class(elements, p: int) -> int | None:
+    """The smallest r in [0, p) with no element a, a % p == r; None if there is none."""
+    hit = {a % p for a in elements}
+    return next((r for r in range(p) if r not in hit), None)
+
+
 def proxy_sequence(ell: int, primes) -> list[int]:
     """l_t = l_{t-1} - floor(l_{t-1} / p_t), seeded at ell."""
     seq = [ell]

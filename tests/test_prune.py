@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from support import (
     brute_force_admissible,
     greedy_prune_oracle,
     proxy_sequence,
+    smallest_empty_class,
     trial_division_primes,
 )
 
@@ -212,13 +214,85 @@ def test_probe_modes_are_reached(mode, outcomes):
     seen = set()
     probe = ResidueClasses._probe
 
-    def spy(self, r, window):
-        found = probe(self, r, window)
+    def spy(self, window):
+        found = probe(self, window)
         seen.add("miss" if found is None else "hit")
         return found
 
-    xs = [210 * x + 1 for x in random.Random(13).sample(range(-300, 300), 60)]
+    # The probe runs only while 4 windows fit below p, which a set of
+    # 60 never reaches before the prune stops.
+    xs = [210 * x + 1 for x in random.Random(13).sample(range(-300, 300), 200)]
     with probe_factor(mode), pytest.MonkeyPatch.context() as mp:
         mp.setattr(ResidueClasses, "_probe", spy)
         assert_matches_oracles(xs)
     assert seen == outcomes
+
+
+# ceil(2^64/p)*p - 2^64 = 990 for p = 1039, so the probe's multiply
+# drifts by almost u (0.95 u) past the start of an offset's class.
+EDGE_P = 1039
+
+
+def edge_elements(a_min, a_max, empty, rng):
+    """About 400 elements in [a_min, a_max], a_min and a_max among them.
+
+    The classes near the probe window, but class ``empty``, are hit only
+    by elements within EDGE_P of a_max, where the drift is largest; the
+    other elements fall in other classes.
+    """
+    xs = {a_min, a_max}
+    for c in [*range(40), *range(EDGE_P - 10, EDGE_P)]:
+        if c != empty:
+            xs.add(a_max - (a_max - c) % EDGE_P)
+    while len(xs) < 400:
+        a = rng.randint(a_min, a_max)
+        if 40 <= a % EDGE_P < EDGE_P - 10:
+            xs.add(a)
+    return sorted(xs)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        pytest.param(-(2**62), -(2**62) + (2**64 - 1) // EDGE_P, id="spread*p-below-2^64"),
+        pytest.param(-(2**62), -(2**62) + 2**64 // EDGE_P + 1, id="spread*p-above-2^64"),
+        pytest.param(INT64_MIN, INT64_MAX, id="arc-past-2^64"),
+        pytest.param(-(10**15), -(10**15) + 10**12, id="negative"),
+    ],
+)
+# a_min in class 3 puts the window's offset residues across p - 1.
+@pytest.mark.parametrize("a_min_class", [None, 0, 3, EDGE_P // 2], ids=str)
+@pytest.mark.parametrize("empty", [7, None], ids=str)
+def test_smallest_empty_matches_oracle_at_the_filter_edge(lo, hi, a_min_class, empty):
+    a_min = lo if a_min_class is None else lo + (a_min_class - lo) % EDGE_P
+    xs = edge_elements(a_min, hi, empty, random.Random(f"{lo} {a_min_class} {empty}"))
+    seen = []
+    probe = ResidueClasses._probe
+
+    def spy(self, window):
+        found = probe(self, window)
+        seen.append(found)
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ResidueClasses, "_probe", spy)
+        found, _ = ResidueClasses(np.array(xs, dtype=np.int64)).smallest_empty(EDGE_P)
+    assert found == smallest_empty_class(xs, EDGE_P)
+    # The probe ran and found class 7, or missed and left it to the full count.
+    assert seen == [empty]
+
+
+def test_drop_needs_the_full_count_of_the_last_prime():
+    classes = ResidueClasses(np.arange(4, dtype=np.int64))
+    with pytest.raises(RuntimeError):
+        classes.drop(0)
+    assert classes.smallest_empty(2)[0] is None
+    # At p = 211 the probe finds class 4 empty, and no residue is kept.
+    assert classes.smallest_empty(211) == (4, None)
+    with pytest.raises(RuntimeError):
+        classes.drop(0)
+    assert classes.smallest_empty(2)[0] is None
+    classes.drop(1)
+    assert classes.elements().tolist() == [0, 2]
+    with pytest.raises(RuntimeError):
+        classes.drop(0)
