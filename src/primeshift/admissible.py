@@ -29,7 +29,9 @@ INADMISSIBLE = "inadmissible"
 # [0, window) only, window = _PROBE_FACTOR * e^(n/p).  Were n values
 # spread uniformly over p classes, each class would be empty with
 # probability e^(-n/p), so the window would hold no empty class with
-# probability about e^(-_PROBE_FACTOR).
+# probability about e^(-_PROBE_FACTOR).  The probe runs only while four
+# windows fit below p: with wider windows a large share of the offsets
+# are candidates, and a probe that misses only adds to the full count.
 _PROBE_FACTOR = 8.0
 
 
@@ -181,8 +183,9 @@ class ResidueClasses:
         ``arc`` reaches 2^64 every offset is a candidate.
         """
         p, shift, u = self._p, self._shift, self._offsets
+        spread = int(u[-1])  # offsets stay ascending
         lo = (shift << 64) // p
-        arc = -(-(((shift + window - 1) << 64) + int(u[-1]) * p) // p) + 1 - lo
+        arc = -(-(((shift + window - 1) << 64) + spread * p) // p) + 1 - lo
         if arc < 1 << 64:
             f = self._quot[: u.size]
             np.multiply(u, np.uint64(-(-(1 << 64) // p)), out=f)
