@@ -4,7 +4,9 @@ A finite integer set is admissible when its elements miss at least one
 residue class modulo every prime.  Only primes p <= |set| can ever
 be fully covered (a set of size ell occupies at most ell classes), so a
 certificate enumerates exactly the primes p <= |set|; larger primes
-are admissible for free and carry no witness.
+are admissible for free and carry no witness.  ``check_admissible``
+reads them from ``ResidueClasses.steps``, the walk that ``greedy_prune``
+follows too, and stops at the first covered prime.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .primes import sieve
+from .primes import nth_prime
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -115,9 +117,10 @@ class AdmissibilityCertificate:
 class ResidueClasses:
     """Residue classes modulo successive primes of a shrinking subset of one set.
 
-    This is the one place residues are computed.  They are taken on
-    uint64 offsets u = a - a_min, which cannot overflow (the spread is at
-    most 2^64 - 1), as u - (u // p) * p into buffers reused from prime to
+    This is the one place residues are computed, and ``steps`` is the one
+    walk over the primes.  Residues are taken on uint64 offsets
+    u = a - a_min, which cannot overflow (the spread is at most
+    2^64 - 1), as u - (u // p) * p into buffers reused from prime to
     prime; counts by offset residue are rolled by a_min mod p into
     counts by class.  The probe reduces only the offsets that one
     wrapping multiply per offset cannot rule out of its classes.
@@ -132,11 +135,6 @@ class ResidueClasses:
         self._min = int(elements[0])
         self._p = 1
         self._shift = 0
-        self._counted = False
-
-    @property
-    def size(self) -> int:
-        return self._offsets.size
 
     def elements(self) -> np.ndarray:
         """The surviving elements, ascending, as a fresh int64 array."""
@@ -153,7 +151,6 @@ class ResidueClasses:
         n = self._offsets.size
         # Class c mod p holds the offsets with residue (c + shift) mod p.
         self._p, self._shift = p, -self._min % p
-        self._counted = False
         window = _PROBE_FACTOR * math.exp(min(n / p, 700.0))
         if 4 * window < p:
             found = self._probe(math.ceil(window))
@@ -164,7 +161,6 @@ class ResidueClasses:
         np.floor_divide(u, p_u, out=q)
         np.multiply(q, p_u, out=q)
         np.subtract(u, q, out=r)
-        self._counted = True
         counts = np.roll(np.bincount(r.view(np.int64), minlength=p), -self._shift)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
@@ -197,17 +193,27 @@ class ResidueClasses:
         empty = np.flatnonzero(np.bincount(classes.view(np.int64), minlength=window) == 0)
         return int(empty[0]) if empty.size else None
 
-    def drop(self, residue: int) -> None:
-        """Remove the elements in class ``residue`` modulo the prime last counted.
+    def steps(self) -> Iterator[tuple[int, int, int]]:
+        """The greedy walk: ``(p, residue, removed)`` for p = 2, 3, 5, ... <= survivors.
 
-        Only the full count fills the residues, so this must follow a
-        ``(None, counts)`` return of ``smallest_empty`` for the same prime.
+        When some class mod p is empty, ``residue`` is the smallest one and
+        ``removed`` is 0.  Otherwise ``residue`` is the least-populated class
+        (the largest on ties) and ``removed`` its count.  That class leaves
+        the survivors only when the walk resumes, so a caller that stops at
+        the step, as ``check_admissible`` does, never pays for the removal.
         """
-        if not self._counted:
-            raise RuntimeError("drop needs the residues of a full count of the last prime")
-        n = self._offsets.size
-        self._offsets = self._offsets[self._res[:n] != (residue + self._shift) % self._p]
-        self._counted = False
+        i = 1
+        while (p := nth_prime(i)) <= self._offsets.size:
+            empty, counts = self.smallest_empty(p)
+            if empty is not None:
+                yield p, empty, 0
+            else:
+                removed = int(counts.min())
+                residue = int(np.flatnonzero(counts == removed)[-1])
+                yield p, residue, removed
+                n = self._offsets.size
+                self._offsets = self._offsets[self._res[:n] != (residue + self._shift) % p]
+            i += 1
 
 
 def check_admissible(int_set: IntegerSet) -> AdmissibilityCertificate:
@@ -218,11 +224,8 @@ def check_admissible(int_set: IntegerSet) -> AdmissibilityCertificate:
     normalized into [0, p).
     """
     missed: dict[int, int] = {}
-    if int_set.size >= 2:
-        classes = ResidueClasses(int_set.elements)
-        for p in sieve(int_set.size).primes.tolist():
-            empty, _ = classes.smallest_empty(p)
-            if empty is None:
-                return AdmissibilityCertificate(INADMISSIBLE, {}, p)
-            missed[p] = empty
+    for p, residue, removed in ResidueClasses(int_set.elements).steps():
+        if removed:
+            return AdmissibilityCertificate(INADMISSIBLE, {}, p)
+        missed[p] = residue
     return AdmissibilityCertificate(ADMISSIBLE, missed, None)

@@ -1,7 +1,7 @@
 """Prime generation, nth-prime lookup, and exact 64-bit primality testing.
 
 Every other module sources its primes here, and every prime comes from
-``prime_flags``: one numpy kernel, ``_flags``, run one ``_SEGMENT`` at a
+``prime_flags``: one numpy kernel, ``_piece``, run one ``_SEGMENT`` at a
 time so its strided clears stay in cache.  The kernel holds one byte per
 odd number only: entry i of a window lo..hi stands for (lo | 1) + 2i, so
 a segment of 2^20 bytes spans 2^21 numbers, and the prime 2 has no entry;
@@ -70,46 +70,6 @@ _WHEEL = math.prod(_WHEEL_PRIMES)
 _COPRIME = (np.gcd(np.arange(1, _WHEEL, 2), _WHEEL) == 1).astype(np.uint8)
 
 
-def _flags(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """uint8 flags for the odd numbers lo | 1, (lo | 1) + 2, ... <= hi.
-
-    ``base`` holds every prime up to some bound, ascending.  An entry is 1
-    iff its value is at least 2 and no base prime <= sqrt(hi) divides it
-    but itself: exact primality for the values below (bound + 1)^2.
-    """
-    first = lo | 1
-    width = (hi - first) // 2 + 1
-    if hi < 3:
-        return np.zeros(width, dtype=np.uint8)
-    flags = np.resize(np.roll(_COPRIME, -(first % _WHEEL // 2)), width)
-    for p in _WHEEL_PRIMES[1:]:
-        if first <= p <= hi:
-            flags[(p - first) // 2] = 1
-    flags[: max(0, (1 - first) // 2 + 1)] = 0  # the odd n <= 1
-    # Offsets from s, not values: s + offset may pass 2^63 - 1 where it is never stored.
-    s = max(first, 3)
-    ps = base[len(_WHEEL_PRIMES) : np.searchsorted(base, math.isqrt(hi), side="right")]
-    o = np.maximum(-s % ps, ps * ps - s)  # first multiple >= max(p^2, s)
-    o += ps * (o & 1)  # the first odd one: s is odd
-    o += s - first
-    o >>= 1  # an index: odd multiples of p lie p entries apart
-    hit = o < width
-    o, ps = o[hit], ps[hit]
-    # Each p <= width // _SPARSE_HITS has at least _SPARSE_HITS hits and gets
-    # one strided slice.  The sparser primes after them are cleared together,
-    # one hit each per round, so in at most _SPARSE_HITS rounds.
-    dense = np.searchsorted(ps, width // _SPARSE_HITS, side="right")
-    for start, step in zip(o[:dense].tolist(), ps[:dense].tolist()):
-        flags[start::step] = 0
-    o, ps = o[dense:], ps[dense:]
-    while o.size:
-        flags[o] = 0
-        o += ps
-        live = o < width
-        o, ps = o[live], ps[live]
-    return flags
-
-
 def _primes_in(lo: int, hi: int) -> Iterator[np.ndarray]:
     """The primes in lo..hi, ascending, as one int64 array per 2 * _SEGMENT numbers."""
     for start in range(lo, hi + 1, 2 * _SEGMENT):
@@ -175,14 +135,47 @@ def prime_flags(lo: int, hi: int) -> np.ndarray:
 
 
 def _piece(lo: int, hi: int) -> np.ndarray:
-    """Exact odd-number flags for lo..hi, at most 2 * _SEGMENT numbers wide."""
-    bound = math.isqrt(min(max(hi, 0), WINDOW_VALUE_MAX))
-    base = _base_primes(bound)
-    flags = _flags(lo, hi, base[: np.searchsorted(base, bound, side="right")])
-    # The kernel clears only multiples >= p^2 of each base prime, never a
-    # prime.  A composite survivor has no prime factor <= bound, so it is
-    # at least (bound + 1)^2; entry skip is the first value that large.
+    """Exact uint8 flags for the odd numbers lo | 1, (lo | 1) + 2, ... <= hi.
+
+    The window is at most 2 * _SEGMENT numbers wide.  The kernel clears
+    the odd multiples >= p^2 of every base prime p <= bound =
+    isqrt(min(hi, WINDOW_VALUE_MAX)), never a prime; the survivors past
+    (bound + 1)^2 are confirmed by ``is_prime``.
+    """
     first = lo | 1
+    width = (hi - first) // 2 + 1
+    if hi < 3:
+        return np.zeros(width, dtype=np.uint8)
+    flags = np.resize(np.roll(_COPRIME, -(first % _WHEEL // 2)), width)
+    for p in _WHEEL_PRIMES[1:]:
+        if first <= p <= hi:
+            flags[(p - first) // 2] = 1
+    flags[: max(0, (1 - first) // 2 + 1)] = 0  # the odd n <= 1
+    # Offsets from s, not values: s + offset may pass 2^63 - 1 where it is never stored.
+    s = max(first, 3)
+    bound = math.isqrt(min(hi, WINDOW_VALUE_MAX))
+    base = _base_primes(bound)
+    ps = base[len(_WHEEL_PRIMES) : np.searchsorted(base, bound, side="right")]
+    o = np.maximum(-s % ps, ps * ps - s)  # first multiple >= max(p^2, s)
+    o += ps * (o & 1)  # the first odd one: s is odd
+    o += s - first
+    o >>= 1  # an index: odd multiples of p lie p entries apart
+    hit = o < width
+    o, ps = o[hit], ps[hit]
+    # Each p <= width // _SPARSE_HITS has at least _SPARSE_HITS hits and gets
+    # one strided slice.  The sparser primes after them are cleared together,
+    # one hit each per round, so in at most _SPARSE_HITS rounds.
+    dense = np.searchsorted(ps, width // _SPARSE_HITS, side="right")
+    for start, step in zip(o[:dense].tolist(), ps[:dense].tolist()):
+        flags[start::step] = 0
+    o, ps = o[dense:], ps[dense:]
+    while o.size:
+        flags[o] = 0
+        o += ps
+        live = o < width
+        o, ps = o[live], ps[live]
+    # A composite survivor has no prime factor <= bound, so it is at least
+    # (bound + 1)^2; entry skip is the first value that large.
     skip = max(0, ((bound + 1) ** 2 - first + 1) // 2)
     for i in np.flatnonzero(flags[skip:]).tolist():
         if not is_prime(first + 2 * (skip + i)):

@@ -6,7 +6,9 @@ residue).  If some class mod p_t is already empty nothing needs to be
 deleted, and the step records a removal count of zero with the smallest
 empty residue.  Iteration stops at the first s where the survivor count
 drops below p_{s+1}; from then on no prime can be fully covered, so the
-survivors form an admissible set.
+survivors form an admissible set.  The steps are those of
+``ResidueClasses.steps``, the walk that ``check_admissible`` stops at its
+first removal.
 
 Each step also tracks the pessimistic survivor count
 l_t = l_{t-1} - floor(l_{t-1} / p_t), seeded at the input size.  The
@@ -18,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .admissible import IntegerSet, ResidueClasses
 from .primes import nth_prime
@@ -61,34 +61,19 @@ def greedy_prune(int_set: IntegerSet) -> PruneTrace:
     process allows.
     """
     classes = ResidueClasses(int_set.elements)
-    proxy = int_set.size
+    proxy = survivors = int_set.size
     steps: list[PruneStep] = []
-    t = 0
-    while True:
-        p_next = nth_prime(t + 1)
-        if classes.size < p_next:
-            break
-        t += 1
-        p = p_next
+    for t, (p, residue, removed) in enumerate(classes.steps(), 1):
         proxy -= proxy // p
-        empty, counts = classes.smallest_empty(p)
-        if empty is not None:
-            removed_residue = empty
-            removed_count = 0
-        else:
-            smallest = counts.min()
-            removed_residue = int(np.flatnonzero(counts == smallest)[-1])
-            classes.drop(removed_residue)
-            removed_count = int(smallest)
-        steps.append(
-            PruneStep(t, p, removed_residue, removed_count, classes.size, proxy)
-        )
+        survivors -= removed
+        steps.append(PruneStep(t, p, residue, removed, survivors, proxy))
+    s = len(steps)
     return PruneTrace(
         input_size=int_set.size,
         steps=tuple(steps),
-        s=t,
+        s=s,
         final_set=IntegerSet(classes.elements()),
-        stop_prime=nth_prime(t + 1),
+        stop_prime=nth_prime(s + 1),
     )
 
 

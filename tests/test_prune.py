@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from primeshift import (
     ADMISSIBLE,
+    INADMISSIBLE,
     IntegerSet,
     PruneStep,
     check_admissible,
@@ -207,6 +208,29 @@ def test_trace_matches_oracle_across_the_int64_range(mode, xs):
         assert_matches_oracles(sorted({INT64_MIN, INT64_MAX, *xs}))
 
 
+def assert_check_is_the_first_phase_of_prune(xs):
+    int_set = IntegerSet.from_values(xs)
+    cert = check_admissible(int_set)
+    steps = greedy_prune(int_set).steps
+    covered = next((st.prime for st in steps if st.removed_count), None)
+    if covered is None:
+        expected = (ADMISSIBLE, {st.prime: st.removed_residue for st in steps}, None)
+    else:
+        expected = (INADMISSIBLE, {}, covered)
+    assert (cert.verdict, cert.missed_residues, cert.covered_prime) == expected
+
+
+@pytest.mark.parametrize("mode", PROBE_FACTORS)
+@settings(max_examples=100, deadline=None)
+@given(mixed_sign_values(min_size=1))
+def test_check_is_the_first_phase_of_prune(mode, xs):
+    # check_admissible stops at the first step of the prune's walk that
+    # removes anything; until then both read the same classes.
+    with probe_factor(mode):
+        assert_check_is_the_first_phase_of_prune(xs)
+        assert_check_is_the_first_phase_of_prune(sorted({INT64_MIN, INT64_MAX, *xs}))
+
+
 @pytest.mark.parametrize(
     "mode, outcomes", [("probe", {"hit"}), ("narrow", {"hit", "miss"}), ("off", set())]
 )
@@ -280,19 +304,3 @@ def test_smallest_empty_matches_oracle_at_the_filter_edge(lo, hi, a_min_class, e
     assert found == smallest_empty_class(xs, EDGE_P)
     # The probe ran and found class 7, or missed and left it to the full count.
     assert seen == [empty]
-
-
-def test_drop_needs_the_full_count_of_the_last_prime():
-    classes = ResidueClasses(np.arange(4, dtype=np.int64))
-    with pytest.raises(RuntimeError):
-        classes.drop(0)
-    assert classes.smallest_empty(2)[0] is None
-    # At p = 211 the probe finds class 4 empty, and no residue is kept.
-    assert classes.smallest_empty(211) == (4, None)
-    with pytest.raises(RuntimeError):
-        classes.drop(0)
-    assert classes.smallest_empty(2)[0] is None
-    classes.drop(1)
-    assert classes.elements().tolist() == [0, 2]
-    with pytest.raises(RuntimeError):
-        classes.drop(0)
