@@ -2,17 +2,18 @@
 
 Everything here reduces to explicit inequalities.  Verdicts are
 conservative: float comparisons carry a relative guard that dwarfs the
-accumulated rounding error, threshold cases are settled in 60-digit
-arithmetic, and the one product that is cheap to keep exact is kept
-exact as a Fraction.
+accumulated rounding error, threshold cases are settled in the standard
+library's ``decimal`` at 60 significant digits (its ``ln`` and ``exp``
+are correctly rounded), and the one product that is cheap to keep exact
+is kept exact as a Fraction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 
-import mpmath
 import numpy as np
 
 from .admissible import IntegerSet
@@ -20,7 +21,7 @@ from .errors import DomainError
 from .primes import nth_prime, prime_segments
 from .prune import greedy_prune, survivor_lower_bound
 
-_MP_DPS = 60
+_CTX = Context(prec=60)
 # Relative guard for float inequality verdicts.  The Mertens log-product
 # is a cumulative sum within each prime segment (under 10^5 terms, so a
 # relative error below ~1e-11) carried across segments by a compensated
@@ -61,21 +62,23 @@ class LemmaReport:
 def maynard_m(k: int) -> int:
     """Largest m >= 0 with k*ln(k) strictly above e^(8m+4); 0 when none.
 
-    Evaluated at 60 significant digits so the strict inequality cannot
-    flip on rounding near a threshold.
+    Evaluated in ``decimal`` at 60 significant digits, with correctly
+    rounded ``ln`` and ``exp``, so the strict inequality cannot flip on
+    rounding near a threshold.  The floor of (ln v - 4) / 8 is only a
+    first guess; the loops settle m on the inequality itself.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     if k == 1:
         return 0
-    with mpmath.workdps(_MP_DPS):
-        v = mpmath.mpf(k) * mpmath.log(k)
-        if v <= mpmath.exp(4):
+    with localcontext(_CTX):
+        v = Decimal(k) * Decimal(k).ln()
+        if v <= Decimal(4).exp():
             return 0
-        m = int(mpmath.floor((mpmath.log(v) - 4) / 8))
-        while m > 0 and v <= mpmath.exp(8 * m + 4):
+        m = int(((v.ln() - 4) / 8).to_integral_value(rounding=ROUND_FLOOR))
+        while m > 0 and v <= Decimal(8 * m + 4).exp():
             m -= 1
-        while v > mpmath.exp(8 * (m + 1) + 4):
+        while v > Decimal(8 * (m + 1) + 4).exp():
             m += 1
         return m
 
@@ -193,11 +196,11 @@ def verify_proof_constants() -> list[LemmaReport]:
     reports: list[LemmaReport] = []
 
     product = survivor_lower_bound(1, 100)
-    with mpmath.workdps(_MP_DPS):
-        kept = mpmath.mpf(product.numerator) / mpmath.mpf(product.denominator)
-        lhs = mpmath.exp(12) * kept
+    with localcontext(_CTX):
+        kept = Decimal(product.numerator) / Decimal(product.denominator)
+        lhs = Decimal(12).exp() * kept
         margin_a = float(lhs - 547)
-        passed_a = bool(lhs > 547)
+        passed_a = lhs > 547
     reports.append(
         LemmaReport(
             name="e12_prime_product_exceeds_547",
@@ -217,10 +220,10 @@ def verify_proof_constants() -> list[LemmaReport]:
         )
     )
 
-    with mpmath.workdps(_MP_DPS):
-        ratio = mpmath.log(546) / (mpmath.mpf("1.846") * mpmath.log(547))
-        margin_c = float(ratio - mpmath.mpf("0.54"))
-        passed_c = bool(ratio > mpmath.mpf("0.54"))
+    with localcontext(_CTX):
+        ratio = Decimal(546).ln() / (Decimal("1.846") * Decimal(547).ln())
+        margin_c = float(ratio - Decimal("0.54"))
+        passed_c = ratio > Decimal("0.54")
     reports.append(
         LemmaReport(
             name="log_ratio_exceeds_0.54",

@@ -69,7 +69,7 @@ def _loadtxt_values(path: str) -> np.ndarray | None:
     parser then reads or reports.  Past ASCII it also splits on Unicode
     whitespace and can crash on some astral characters (numpy 2.4).  Any
     ValueError here, undecodable UTF-8 included, leaves the file to the
-    line parser, which raises what it always raised.
+    line parser, which reports it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -87,15 +87,18 @@ def _loadtxt_values(path: str) -> np.ndarray | None:
 
 def _parse_lines(path: str) -> list[int]:
     values: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values.append(int(line))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: not an integer: {line!r}") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    values.append(int(line))
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: not an integer: {line!r}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     return values
 
 

@@ -39,9 +39,13 @@ class PruneStep:
 class PruneTrace:
     input_size: int
     steps: tuple[PruneStep, ...]
-    s: int
     final_set: IntegerSet
     stop_prime: int
+
+    @property
+    def s(self) -> int:
+        """The number of pruning steps."""
+        return len(self.steps)
 
     @property
     def final_size(self) -> int:
@@ -67,13 +71,11 @@ def greedy_prune(int_set: IntegerSet) -> PruneTrace:
         proxy -= proxy // p
         survivors -= removed
         steps.append(PruneStep(t, p, residue, removed, survivors, proxy))
-    s = len(steps)
     return PruneTrace(
         input_size=int_set.size,
         steps=tuple(steps),
-        s=s,
         final_set=IntegerSet(classes.elements()),
-        stop_prime=nth_prime(s + 1),
+        stop_prime=nth_prime(len(steps) + 1),
     )
 
 

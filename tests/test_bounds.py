@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primeshift import (
@@ -58,14 +58,22 @@ class TestMaynardM:
             above = mpmath.mpf(M2_THRESHOLD) * mpmath.log(M2_THRESHOLD)
             assert below <= mpmath.exp(20) < above
 
-    def test_definition_holds_at_samples(self):
-        for k in (2, 55, 10**4, M1_THRESHOLD, 10**6, M2_THRESHOLD, 10**9):
-            m = maynard_m(k)
-            with mpmath.workdps(60):
-                v = mpmath.mpf(k) * mpmath.log(k)
-                if m > 0:
-                    assert v > mpmath.exp(8 * m + 4)
-                assert v <= mpmath.exp(8 * (m + 1) + 4)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**18))
+    @example(2)
+    @example(55)
+    @example(10**4)
+    @example(M1_THRESHOLD)
+    @example(10**6)
+    @example(M2_THRESHOLD)
+    @example(10**9)
+    def test_definition_holds_at_samples(self, k):
+        m = maynard_m(k)
+        with mpmath.workdps(60):
+            v = mpmath.mpf(k) * mpmath.log(k)
+            if m > 0:
+                assert v > mpmath.exp(8 * m + 4)
+            assert v <= mpmath.exp(8 * (m + 1) + 4)
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=0, max_value=10**6))

@@ -349,6 +349,24 @@ class TestMain:
         assert captured.out == ""
         assert "error" in captured.err
 
+    def test_non_utf8_set_exits_two_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1\n\xff\n")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not UTF-8 text")
+
+    def test_import_leaves_out_mpmath(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, primeshift.cli; print('mpmath' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "False\n"
+
     def test_module_invocation(self, tmp_path):
         path = write_set(tmp_path, "s.txt", "0\n2\n6\n")
         proc = subprocess.run(
