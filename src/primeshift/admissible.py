@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .primes import nth_prime
+from .primes import prime_segments
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -202,8 +202,10 @@ class ResidueClasses:
         the survivors only when the walk resumes, so a caller that stops at
         the step, as ``check_admissible`` does, never pays for the removal.
         """
-        i = 1
-        while (p := nth_prime(i)) <= self._offsets.size:
+        # The limit 2 of a one-element set only satisfies prime_segments: 2 > 1 stops the walk.
+        for p in (int(p) for s in prime_segments(max(2, self._offsets.size)) for p in s):
+            if p > self._offsets.size:
+                return
             empty, counts = self.smallest_empty(p)
             if empty is not None:
                 yield p, empty, 0
@@ -213,7 +215,6 @@ class ResidueClasses:
                 yield p, residue, removed
                 n = self._offsets.size
                 self._offsets = self._offsets[self._res[:n] != (residue + self._shift) % p]
-            i += 1
 
 
 def check_admissible(int_set: IntegerSet) -> AdmissibilityCertificate:

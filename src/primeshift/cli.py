@@ -7,13 +7,15 @@ lost to double precision.  Text output is for people and may change;
 CSV is offered where rows are the natural shape (repsearch, gen).
 
 Exit codes: 0 success (verdicts like "inadmissible" are still success),
-1 when a requested verification fails, 2 on usage or parse errors.
+1 when a requested verification fails, 2 on usage or parse errors, and
+141 (128 + SIGPIPE) when the reader closes stdout before the report ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import warnings
@@ -379,9 +381,15 @@ def main(argv: list[str] | None = None) -> int:
     code, report = dispatch(build_parser().parse_args(argv))
     if code == 2:
         print(report, file=sys.stderr)
-    else:
+        return code
+    try:
         for block in (report,) if isinstance(report, str) else report:
             print(block)
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit-time flush
+    except BrokenPipeError:
+        # Point stdout at devnull so that the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 

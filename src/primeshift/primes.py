@@ -12,18 +12,18 @@ the piece, and a few vectorized rounds for all the sparse ones together,
 after the bucket sieve of Oliveira e Silva, Herzog and Pardi (Math. Comp.
 83, 2014).  The base primes stop at 10^6, the square root of
 WINDOW_VALUE_MAX, so the sieve alone is exact below (10^6 + 1)^2; past
-that, each survivor is confirmed by ``is_prime``.  The base primes live
-in one shared int64 table that grows on demand under one lock, through
-``prime_flags`` too; ``nth_prime`` reads the same table.  Primes are
-enumerated as int64 up to WINDOW_VALUE_MAX = 10^12: ``prime_segments``
-yields one array per segment, with 2 at the head of the first, and
-``sieve`` concatenates them.
+that, each survivor is confirmed by ``is_prime``.  The base primes are
+one read-only int64 table, ``_BASE``, built once at import through
+``prime_flags`` too.  Primes are enumerated as int64 up to
+WINDOW_VALUE_MAX = 10^12 by one stream: ``_BASE`` clipped at the limit,
+then one array per segment past it.  ``prime_segments`` is that stream,
+``sieve`` concatenates it, and ``nth_prime`` walks it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -36,6 +36,12 @@ from .errors import DomainError, ResourceError
 # (10^6 + 1)^2 = 1 000 002 000 001; from there on, prime_flags confirms each
 # survivor of the same sieve with is_prime.
 WINDOW_VALUE_MAX = 10**12
+
+# The base primes: every prime <= isqrt(WINDOW_VALUE_MAX), 78 498 of them.
+_BASE_LIMIT = math.isqrt(WINDOW_VALUE_MAX)
+
+# pi(WINDOW_VALUE_MAX), the most primes the stream holds (OEIS A006880).
+_PRIME_COUNT_MAX = 37_607_912_018
 
 # Flags per kernel piece: one byte per odd number, so a piece spans
 # 2 * _SEGMENT numbers.
@@ -71,39 +77,12 @@ _COPRIME = (np.gcd(np.arange(1, _WHEEL, 2), _WHEEL) == 1).astype(np.uint8)
 
 
 def _primes_in(lo: int, hi: int) -> Iterator[np.ndarray]:
-    """The primes in lo..hi, ascending, as one int64 array per 2 * _SEGMENT numbers."""
+    """The primes in lo..hi, lo > 2, ascending, as one int64 array per 2 * _SEGMENT numbers."""
     for start in range(lo, hi + 1, 2 * _SEGMENT):
-        end = min(start + 2 * _SEGMENT - 1, hi)
-        primes = np.flatnonzero(prime_flags(start, end).view(bool))
+        primes = np.flatnonzero(prime_flags(start, min(start + 2 * _SEGMENT - 1, hi)).view(bool))
         primes *= 2
         primes += start | 1
-        if start <= 2 <= end:
-            primes = np.concatenate(([2], primes))
         yield primes
-
-
-# The shared base table, published as one (limit, primes) pair: every prime
-# <= limit, ascending, as one int64 array.  Growth builds a new array under
-# the lock and never writes to a published one; readers never lock.
-_lock = threading.Lock()
-_table: tuple[int, np.ndarray] = (2, np.array([2], dtype=np.int64))
-
-
-def _base_primes(n: int) -> np.ndarray:
-    """The shared table, grown to hold every prime <= n (it may hold more)."""
-    global _table
-    limit, primes = _table
-    if limit < n:
-        with _lock:
-            limit, primes = _table
-            while limit < n:
-                # Squaring at most keeps sqrt(top) inside the published table, so
-                # the prime_flags calls below read it and never take the lock.
-                top = min(max(n, 2 * limit), limit * limit)
-                primes = np.concatenate([primes, *_primes_in(limit + 1, top)])
-                limit = top
-                _table = (limit, primes)
-    return primes
 
 
 def prime_flags(lo: int, hi: int) -> np.ndarray:
@@ -114,7 +93,7 @@ def prime_flags(lo: int, hi: int) -> np.ndarray:
     window that holds no odd number gives an empty array.  Entries for
     n < 2 are 0, so negative windows are valid.  The window is sieved
     2 * ``_SEGMENT`` numbers at a time, each piece with the base primes
-    up to bound = isqrt(min(hi, WINDOW_VALUE_MAX)) of its own hi.  The
+    up to bound = min(isqrt(hi), _BASE_LIMIT) of its own hi.  The
     kernel clears only composites, and a composite it leaves has no prime
     factor <= bound, so it is at least (bound + 1)^2.  The sieve alone is
     therefore exact below (10^6 + 1)^2, and each survivor from there on
@@ -139,7 +118,7 @@ def _piece(lo: int, hi: int) -> np.ndarray:
 
     The window is at most 2 * _SEGMENT numbers wide.  The kernel clears
     the odd multiples >= p^2 of every base prime p <= bound =
-    isqrt(min(hi, WINDOW_VALUE_MAX)), never a prime; the survivors past
+    min(isqrt(hi), _BASE_LIMIT), never a prime; the survivors past
     (bound + 1)^2 are confirmed by ``is_prime``.
     """
     first = lo | 1
@@ -153,9 +132,8 @@ def _piece(lo: int, hi: int) -> np.ndarray:
     flags[: max(0, (1 - first) // 2 + 1)] = 0  # the odd n <= 1
     # Offsets from s, not values: s + offset may pass 2^63 - 1 where it is never stored.
     s = max(first, 3)
-    bound = math.isqrt(min(hi, WINDOW_VALUE_MAX))
-    base = _base_primes(bound)
-    ps = base[len(_WHEEL_PRIMES) : np.searchsorted(base, bound, side="right")]
+    bound = min(math.isqrt(hi), _BASE_LIMIT)
+    ps = _BASE[len(_WHEEL_PRIMES) : np.searchsorted(_BASE, bound, side="right")]
     o = np.maximum(-s % ps, ps * ps - s)  # first multiple >= max(p^2, s)
     o += ps * (o & 1)  # the first odd one: s is odd
     o += s - first
@@ -184,12 +162,14 @@ def _piece(lo: int, hi: int) -> np.ndarray:
 
 
 def prime_segments(limit: int) -> Iterator[np.ndarray]:
-    """The primes in [2, limit], ascending, one int64 array per segment; checks ``limit`` now."""
+    """The primes in [2, limit], ascending, one int64 array (to be read only) for
+    the base primes, then one per segment past them; checks ``limit`` now."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > WINDOW_VALUE_MAX:
         raise ResourceError(f"sieve limit {limit} exceeds WINDOW_VALUE_MAX = {WINDOW_VALUE_MAX}")
-    return _primes_in(2, limit)
+    clipped = _BASE[: np.searchsorted(_BASE, limit, side="right")]
+    return itertools.chain((clipped,), _primes_in(_BASE_LIMIT + 1, limit))
 
 
 def sieve(limit: int) -> PrimeTable:
@@ -200,14 +180,16 @@ def sieve(limit: int) -> PrimeTable:
 
 
 def nth_prime(i: int) -> int:
-    """The i-th prime, 1-indexed (nth_prime(1) == 2)."""
+    """The i-th prime, 1-indexed (nth_prime(1) == 2): a walk of ``prime_segments``
+    that holds one segment at a time."""
     if i < 1:
         raise DomainError(f"prime index must be >= 1, got {i}")
-    limit, primes = _table
-    while primes.size < i:
-        limit *= 2
-        primes = _base_primes(limit)
-    return int(primes[i - 1])
+    if i > _PRIME_COUNT_MAX:
+        raise ResourceError(f"prime index {i} exceeds pi(WINDOW_VALUE_MAX) = {_PRIME_COUNT_MAX}")
+    for segment in prime_segments(WINDOW_VALUE_MAX):
+        if i <= segment.size:
+            return int(segment[i - 1])
+        i -= segment.size
 
 
 def is_prime(n: int) -> bool:
@@ -245,3 +227,12 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# The base primes, built in rounds: each sieves up to the square of the last
+# round's limit, so its pieces read only primes already in the table.
+_BASE, _top = np.array([2], dtype=np.int64), 2
+while _top < _BASE_LIMIT:
+    _BASE = np.concatenate([_BASE, *_primes_in(_top + 1, min(_top**2, _BASE_LIMIT))])
+    _top = min(_top**2, _BASE_LIMIT)
+_BASE.setflags(write=False)

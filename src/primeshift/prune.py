@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .admissible import IntegerSet, ResidueClasses
-from .primes import nth_prime
+from .primes import WINDOW_VALUE_MAX, nth_prime, prime_segments
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,8 @@ def survivor_lower_bound(ell: int, s: int) -> Fraction:
     """
     num = ell
     den = 1
-    for i in range(1, s + 1):
-        p = nth_prime(i)
+    primes = (int(p) for segment in prime_segments(WINDOW_VALUE_MAX) for p in segment)
+    for _, p in zip(range(s), primes):
         num *= p - 1
         den *= p
     return Fraction(num, den)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .admissible import INT64_MAX, INT64_MIN, IntegerSet
 from .errors import DomainError, ResourceError
-from .primes import nth_prime, prime_flags
+from .primes import prime_flags, prime_segments
 
 RANGE_WIDTH_MAX = 10**9
 # Most records rep_search returns: each costs about 500 bytes on its way
@@ -218,10 +218,11 @@ def gen_sequence(kind: str, count: int, seed_ratio: int = 2) -> IntegerSet:
             raise DomainError(f"2^{count} overflows the 64-bit range")
         return IntegerSet(tuple(1 << i for i in range(1, count + 1)))
     if kind == "two_pow_prime":
-        # p_18 = 61 is the last prime <= 62; check count before nth_prime sieves.
+        # p_18 = 61 is the last prime <= 62; check count before reading the primes.
         if count > 18:
             raise DomainError(f"2^p_{count} overflows the 64-bit range: only p_1..p_18 are <= 62")
-        return IntegerSet(tuple(1 << nth_prime(i) for i in range(1, count + 1)))
+        primes = np.concatenate([*prime_segments(61)])[:count]
+        return IntegerSet(tuple(1 << p for p in primes.tolist()))
     if seed_ratio < 2:
         raise DomainError(f"seed_ratio must be >= 2, got {seed_ratio}")
     # Every ratio >= 2 overflows by count 63; check that before the big power.

@@ -141,16 +141,17 @@ class TestMertens:
 
     @pytest.mark.parametrize("segment", [29, 64])
     def test_segment_edges_keep_margin_and_verdict(self, segment, monkeypatch):
-        # A segment spans 2 * segment numbers.  With 29 the first segment
-        # ends below 74, at 59, so the primes below 74 and the first
-        # checkpoints straddle a segment edge; with 64 it ends at 129, and
-        # later checkpoints straddle the edges.
+        # The base table is cut at 150 (150^2 is past every sample), so the
+        # stream's first array ends at 149 and every later one spans
+        # 2 * segment numbers: the checkpoints from 74 on straddle the cut
+        # and many segment edges.
         rng = random.Random(segment)
-        samples = [74, 78, 79, 80, 89, 128, 129, 10**4, 2 * 10**4]
+        samples = [74, 78, 79, 80, 89, 128, 129, 149, 151, 10**4, 2 * 10**4]
         samples += [rng.randint(74, 2 * 10**4) for _ in range(6)]
         expected = {x: verify_mertens(x) for x in samples}
         monkeypatch.setattr(primes_mod, "_SEGMENT", segment)
-        monkeypatch.setattr(primes_mod, "_table", (2, np.array([2], dtype=np.int64)))
+        monkeypatch.setattr(primes_mod, "_BASE", primes_mod._BASE[primes_mod._BASE <= 150])
+        monkeypatch.setattr(primes_mod, "_BASE_LIMIT", 150)
         for x in samples:
             report = verify_mertens(x)
             assert (report.margin, report.passed) == (expected[x].margin, expected[x].passed), x

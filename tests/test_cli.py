@@ -378,6 +378,23 @@ class TestMain:
         assert proc.returncode == 0
         assert "admissible" in proc.stdout
 
+    def test_closed_stdout_pipe_exits_141_quietly(self, tmp_path):
+        # About 3 * 10^6 csv rows: far more than a pipe holds, so the CLI is
+        # still writing when the reader closes its end after one line.
+        path = write_set(tmp_path, "s.txt", "\n".join(str(1 << i) for i in range(1, 21)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "primeshift.cli", "repsearch", path]
+            + ["--from", "3", "--to", "3000000", "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=cli_env(),
+        )
+        assert proc.stdout.readline().count(b",") == 1
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert stderr == b""
+
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
     def test_primes_memory_follows_the_segment(self):
         # 5761455 primes to 10^8 would be 46 MB as int64 alone; the count and

@@ -1,6 +1,7 @@
 import math
 import random
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,10 +9,28 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeshift import DomainError, ResourceError, is_prime, nth_prime, prime_flags, sieve
+from primeshift import (
+    DomainError,
+    IntegerSet,
+    ResourceError,
+    check_admissible,
+    greedy_prune,
+    is_prime,
+    nth_prime,
+    prime_flags,
+    sieve,
+    survivor_lower_bound,
+)
 from primeshift import primes as primes_mod
 
-from support import byte_sieve, odd_entries, trial_division_is_prime, trial_division_primes
+from support import (
+    byte_sieve,
+    greedy_prune_oracle,
+    odd_entries,
+    smallest_empty_class,
+    trial_division_is_prime,
+    trial_division_primes,
+)
 
 
 def test_sieve_ten():
@@ -69,13 +88,20 @@ def test_prime_segments_open_with_two():
     assert [s.tolist() for s in primes_mod.prime_segments(3)] == [[2, 3]]
 
 
+def cut_base(monkeypatch, c):
+    """Cut the base table to the primes <= c, so that the stream runs through
+    prime_flags from c + 1 on; exact for every value below (c + 1)^2."""
+    monkeypatch.setattr(primes_mod, "_BASE", primes_mod._BASE[primes_mod._BASE <= c])
+    monkeypatch.setattr(primes_mod, "_BASE_LIMIT", c)
+
+
 @pytest.mark.parametrize("segment", [2, 3, 64, 97])
 def test_tiny_segments_match_oracles(segment, monkeypatch):
-    # A tiny segment and an empty shared table force many segment edges
-    # in prime_segments(), sieve() and every growth of the table.  A piece
-    # spans 2 * segment numbers, and 2 opens the first one.
+    # A tiny segment and a base table cut at 60 force many segment edges
+    # in prime_segments(), sieve() and nth_prime() past the cut.  A piece
+    # spans 2 * segment numbers; 60^2 is past every value sieved here.
     monkeypatch.setattr(primes_mod, "_SEGMENT", segment)
-    monkeypatch.setattr(primes_mod, "_table", (2, np.array([2], dtype=np.int64)))
+    cut_base(monkeypatch, 60)
     limit = 3000
     oracle = trial_division_primes(limit)
     flags = byte_sieve(limit)
@@ -103,13 +129,11 @@ def test_tiny_segments_match_oracles(segment, monkeypatch):
         ]
 
 
-def test_table_growth_on_two_threads_matches_oracles(monkeypatch):
-    # Growing the shared table sieves through prime_flags, which asks the
-    # table for its base primes again; a growth step that took the lock a
-    # second time would hang here.  One thread grows the table through
-    # nth_prime while the other reads flags that need it grown.
+def test_stream_on_two_threads_matches_oracles(monkeypatch):
+    # The base table is read-only, so two threads that read the stream past
+    # a cut table, through nth_prime and prime_flags, need no lock.
     monkeypatch.setattr(primes_mod, "_SEGMENT", 5)
-    monkeypatch.setattr(primes_mod, "_table", (2, np.array([2], dtype=np.int64)))
+    cut_base(monkeypatch, 60)
     results = {}
 
     def run(name, job):
@@ -123,9 +147,41 @@ def test_table_growth_on_two_threads_matches_oracles(monkeypatch):
         t.start()
     for t in threads:
         t.join(timeout=30)
-    assert not any(t.is_alive() for t in threads), "table growth deadlocked"
+    assert not any(t.is_alive() for t in threads), "a stream reader hung"
     assert results["nth"] == trial_division_primes(3000)[399] == sympy.prime(400)
     assert results["flags"] == odd_entries(bytes(byte_sieve(3000)), 0)
+
+
+def test_stream_matches_oracles_across_the_base_seam(monkeypatch):
+    # With the table cut at 50 and pieces of 14 numbers, every walk past
+    # the 15th prime reads primes that prime_flags sieves after the cut.
+    monkeypatch.setattr(primes_mod, "_SEGMENT", 7)
+    cut_base(monkeypatch, 50)
+    oracle = trial_division_primes(2000)
+    assert [nth_prime(i) for i in range(1, len(oracle) + 1)] == oracle
+    segments = list(primes_mod.prime_segments(2000))
+    assert segments[0].tolist() == [p for p in oracle if p <= 50]
+    assert np.concatenate(segments).tolist() == oracle
+    elements = random.Random(50).sample(range(-(10**4), 10**4), 300)
+    trace = greedy_prune(IntegerSet.from_values(elements))
+    steps, s, stop, survivors = greedy_prune_oracle(elements)
+    assert trace.steps[-1].prime > 50
+    assert [tuple(vars(step).values()) for step in trace.steps] == steps
+    assert (trace.s, trace.stop_prime, trace.final_set.elements.tolist()) == (s, stop, survivors)
+    cert = check_admissible(trace.final_set)
+    walked = [p for p in oracle if p <= len(survivors)]
+    assert walked[-1] > 50
+    assert cert.missed_residues == {p: smallest_empty_class(survivors, p) for p in walked}
+    product = Fraction(math.prod(p - 1 for p in oracle[:s]), math.prod(oracle[:s]))
+    assert survivor_lower_bound(300, s) == 300 * product
+
+
+def test_base_table_is_read_only_and_exact():
+    base = primes_mod._BASE
+    assert base.dtype == np.int64 and not base.flags.writeable
+    # Trial division to 10^6 takes seconds; the byte sieve is the independent oracle.
+    assert base.tolist() == np.flatnonzero(np.frombuffer(byte_sieve(10**6), dtype=np.uint8)).tolist()
+    assert primes_mod._BASE_LIMIT == math.isqrt(primes_mod.WINDOW_VALUE_MAX) == 10**6
 
 
 def test_nth_prime_basics():
@@ -140,13 +196,14 @@ def test_nth_prime_basics():
         nth_prime(-3)
 
 
-def test_nth_prime_grows_the_table_by_doubling(monkeypatch):
-    # pi(1000) = 168 and pi(2000) = 303: nth_prime(169) doubles the table to
-    # 2000 and nth_prime(304) to 4000; the others read the table as it is.
-    monkeypatch.setattr(primes_mod, "_table", (1000, np.array(trial_division_primes(1000))))
-    for i, limit in [(168, 1000), (169, 2000), (303, 2000), (304, 4000)]:
-        assert nth_prime(i) == sympy.prime(i)
-        assert primes_mod._table[0] == limit, i
+def test_nth_prime_past_the_ceiling_raises_before_sieving(monkeypatch):
+    # pi(10^12) = 37 607 912 018 (OEIS A006880): the stream holds no more primes.
+    def unreachable(limit):
+        raise AssertionError("nth_prime sieved past its ceiling")
+
+    monkeypatch.setattr(primes_mod, "prime_segments", unreachable)
+    with pytest.raises(ResourceError, match="37607912018"):
+        nth_prime(37_607_912_019)
 
 
 def test_nth_prime_against_trial_division():

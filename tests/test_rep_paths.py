@@ -9,6 +9,7 @@ Each result is checked against is_prime and the tests/support.py oracles.
 """
 
 import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ def small_paths():
         mp.setattr(primes_mod, "_SEGMENT", 29)
         # A full piece of 29 entries clears 17..29 by slices and 31 in rounds.
         mp.setattr(primes_mod, "_SPARSE_HITS", 1)
-        mp.setattr(primes_mod, "WINDOW_VALUE_MAX", CUT)
+        mp.setattr(primes_mod, "_BASE", primes_mod._BASE[primes_mod._BASE <= math.isqrt(CUT)])
+        mp.setattr(primes_mod, "_BASE_LIMIT", math.isqrt(CUT))
         yield
 
 
@@ -60,7 +62,8 @@ def test_prime_flags_piece_straddling_the_cut(cut, monkeypatch):
     # isqrt(cut).  Past it 529 = 23^2 and 667 = 23 * 29 survive the sieve,
     # and only is_prime rejects them; at cut 528 the bound is 22, so 529 is
     # the first value confirmed.
-    monkeypatch.setattr(primes_mod, "WINDOW_VALUE_MAX", cut)
+    monkeypatch.setattr(primes_mod, "_BASE", primes_mod._BASE[primes_mod._BASE <= math.isqrt(cut)])
+    monkeypatch.setattr(primes_mod, "_BASE_LIMIT", math.isqrt(cut))
     assert bytes(prime_flags(300, 700)) == oracle_flags(300, 700)
 
 

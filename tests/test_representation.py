@@ -1,7 +1,6 @@
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +14,6 @@ from primeshift import (
     rep_search,
     romanoff_counts,
 )
-from primeshift import primes as primes_mod
 from primeshift import representation
 
 from support import brute_rep_count, byte_sieve, nonzero_pairs, rep_count, romanoff_oracle
@@ -281,12 +279,12 @@ class TestGenSequence:
         # Rejected on count alone, before building a 900000-digit power.
         with pytest.raises(DomainError):
             gen_sequence("divisor_chain", 10**5, 10**9)
-        # Rejected on count alone, before nth_prime grows the shared table.
-        empty = (2, np.array([2], dtype=np.int64))
-        monkeypatch.setattr(primes_mod, "_table", empty)
+        # Rejected on count alone, before any prime is read.
+        calls = []
+        monkeypatch.setattr(representation, "prime_segments", calls.append)
         with pytest.raises(DomainError):
             gen_sequence("two_pow_prime", 10**6)
-        assert primes_mod._table is empty
+        assert calls == []
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
