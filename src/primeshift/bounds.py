@@ -23,8 +23,9 @@ from .prune import greedy_prune, survivor_lower_bound
 
 _CTX = Context(prec=60)
 # Relative guard for float inequality verdicts.  The Mertens log-product
-# is a cumulative sum within each prime segment (under 10^5 terms, so a
-# relative error below ~1e-11) carried across segments by a compensated
+# is a cumulative sum within each prime segment (at most 144 822 terms, in
+# (10^6, 10^6 + 2^21]; later segments of 2^21 numbers hold fewer primes, so
+# a relative error below ~2e-11) carried across segments by a compensated
 # sum, so 1e-9 is comfortably conservative.
 _FLOAT_GUARD = 1e-9
 

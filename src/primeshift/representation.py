@@ -77,6 +77,8 @@ def _chunk_counts(elements: list[int], c_lo: int, c_hi: int) -> np.ndarray:
     # would pass _SPREAD_MAX.
     runs: list[list[int]] = []
     for a in elements:
+        if c_hi - a < 2:  # n - a < 2 on the whole chunk, here and for every larger a
+            break
         if runs and a - runs[-1][-1] <= width and a - runs[-1][0] <= _SPREAD_MAX:
             runs[-1].append(a)
         else:
@@ -91,6 +93,7 @@ def _chunk_counts(elements: list[int], c_lo: int, c_hi: int) -> np.ndarray:
             half += flags[i : i + half.size]
             if c_lo <= a + 2 <= c_hi:  # n - a = 2
                 halves[q ^ 1][(a + 2 - c_lo) // 2] += 1
+        del flags  # before the next window or the interleaved counts are allocated
     counts = np.empty(width, dtype)
     counts[0::2], counts[1::2] = halves
     return counts
@@ -128,16 +131,27 @@ def _chunk_records(c_lo: int, counts: np.ndarray, top_k: int) -> list[tuple[int,
     """The chunk's top_k records as (-count, n): every count above the k-th
     largest, then the first ties at it in ascending n, found one block of
     2^16 n at a time so that a chunk of ties never becomes one index array.
+
+    The k-th largest count is the largest v with at least k counts >= v,
+    found by bisection on v in 0..max: at most ceil(log2(max + 1))
+    compare-and-count passes over the chunk, as counts never pass the
+    set's size.
     """
     k = min(top_k, counts.size)
-    kth = np.partition(counts, -k)[-k]
+    kth, hi = 0, int(counts.max())
+    while kth < hi:
+        v = (kth + hi + 1) // 2
+        if np.count_nonzero(counts >= v) >= k:
+            kth = v
+        else:
+            hi = v - 1
     above = np.flatnonzero(counts > kth)
     records = [(-c, c_lo + i) for i, c in zip(above.tolist(), counts[above].tolist())]
     for b in range(0, counts.size, 1 << 16):
         if len(records) == k:
             break
         ties = np.flatnonzero(counts[b : b + (1 << 16)] == kth)[: k - len(records)]
-        records += [(-int(kth), c_lo + b + i) for i in ties.tolist()]
+        records += [(-kth, c_lo + b + i) for i in ties.tolist()]
     return records
 
 

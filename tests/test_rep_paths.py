@@ -112,6 +112,59 @@ def test_rep_search_counts_the_prime_two_at_chunk_edges(n_lo):
     assert profile.records == tuple(ranked[:4])
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-100, max_value=200), min_size=1, max_size=6, unique=True),
+    st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=4, unique=True),
+    st.integers(min_value=-60, max_value=100),
+    st.integers(min_value=0, max_value=120),
+)
+def test_rep_search_ignores_elements_out_of_reach(elements, past, n_lo, span):
+    # An element a > n_hi - 2 has n - a < 2 for every n of every chunk, so
+    # adding such elements leaves every count, total and record unchanged.
+    n_hi = n_lo + span
+    extra = {n_hi - 2 + d for d in past} - set(elements)
+    int_set = IntegerSet(tuple(sorted(elements)))
+    wider = IntegerSet(tuple(sorted({*elements, *extra})))
+    with small_paths():
+        profile = rep_search(int_set, n_lo, n_hi, 5)
+        with_extra = rep_search(wider, n_lo, n_hi, 5)
+    assert with_extra.represented_count == profile.represented_count
+    assert with_extra.total_representations == profile.total_representations
+    assert with_extra.records == profile.records
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+def test_chunk_records_match_a_sorted_oracle(dtype):
+    # The chunk's records, in any order, are its first k cells by count
+    # descending, then n ascending.  The k-th count is 0 when k passes the
+    # nonzero cells, every cell is a record when k >= counts.size, and an
+    # all-equal chunk yields only ties, also past one 2^16-cell block.
+    top = int(np.iinfo(dtype).max)
+    rng = np.random.default_rng(2026)
+    cases = [
+        (np.array([7], dtype), 1),
+        (np.array([0], dtype), 3),
+        (np.array([0, 3, 0, 0, 5, 0], dtype), 4),
+        (np.array([2, 9, 4, top], dtype), 4),
+        (np.array([2, 9, 4, top], dtype), 10),
+        (np.full(50, 6, dtype), 7),
+        (np.zeros(50, dtype), 50),
+        (np.full((1 << 16) + 9, top, dtype), (1 << 16) + 4),
+    ]
+    for _ in range(300):
+        size = int(rng.integers(1, 200))
+        high = int(rng.choice([1, 2, 5, 100, top]))
+        counts = rng.integers(0, high, size, dtype=dtype, endpoint=True)
+        counts[rng.random(size) < 0.3] = 0
+        cases.append((counts, int(rng.integers(1, size + 5))))
+    for counts, k in cases:
+        c_lo = int(rng.integers(-1000, 1000))
+        oracle = sorted((-c, c_lo + i) for i, c in enumerate(counts.tolist()))
+        records = representation._chunk_records(c_lo, counts, k)
+        assert sorted(records) == oracle[:k], (counts, k)
+
+
 @pytest.mark.parametrize("n_lo, n_hi", [(-120, -1), (-40, 70), (5, 5), (1000, 1110)])
 def test_rep_counts_chunks_tile_the_range(n_lo, n_hi):
     # Chunks of _CHUNK = 37 start at n_lo; the last ends at n_hi.  rep_search's
@@ -188,8 +241,11 @@ def test_prime_flags_at_the_top_of_int64():
         # Gaps of 4 share, but the spread 0..12 passes 8.
         ((0, 4, 8, 12), 1 << 26, [(88, 109)]),
         ((0, 4, 8, 12), 8, [(92, 109), (88, 97)]),
+        # n - 107 = 2 at n = 109 still counts; 108 and later reach only n - a < 2
+        # and request no window, so 107 is not widened to share one with 108.
+        ((0, 107, 108, 109, 300), 1 << 26, [(100, 109), (-7, 2)]),
     ],
-    ids=["gap-equals-width", "gap-past-width", "spread-within", "spread-past"],
+    ids=["gap-equals-width", "gap-past-width", "spread-within", "spread-past", "past-reach"],
 )
 def test_chunk_windows_group_by_gap_and_spread(elements, spread_max, windows, monkeypatch):
     calls = []

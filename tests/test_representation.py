@@ -132,9 +132,9 @@ class TestRepSearch:
 
     def test_memory_follows_the_chunk_not_the_width(self):
         # One chunk's counts, its two halves, the shared prime window of the
-        # elements up to 2^23 and the top-k partition copy: a few bytes per
-        # cell of one chunk.  The 4.6 * 10^6 represented n would take 70 MiB
-        # as one int64 offset and one int64 count each.
+        # elements up to 2^23 and the boolean mask of one top-k count pass: a
+        # few bytes per cell of one chunk.  The 4.6 * 10^6 represented n would
+        # take 70 MiB as one int64 offset and one int64 count each.
         int_set = gen_sequence("powers_of_two", 40)
         tracemalloc.start()
         try:
