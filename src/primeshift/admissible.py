@@ -117,13 +117,13 @@ class AdmissibilityCertificate:
 class ResidueClasses:
     """Residue classes modulo successive primes of a shrinking subset of one set.
 
-    This is the one place residues are computed, and ``steps`` is the one
-    walk over the primes.  Residues are taken on uint64 offsets
-    u = a - a_min, which cannot overflow (the spread is at most
-    2^64 - 1), as u - (u // p) * p into buffers reused from prime to
-    prime; counts by offset residue are rolled by a_min mod p into
-    counts by class.  The probe reduces only the offsets that one
-    wrapping multiply per offset cannot rule out of its classes.
+    ``steps`` is the one walk over the primes, and ``_residues`` the one
+    place residues are computed: on uint64 offsets u = a - a_min, which
+    cannot overflow (the spread is at most 2^64 - 1), as u - (u // p) * p
+    into the front of buffers reused from prime to prime.  The walk keeps
+    p and shift = -a_min mod p to itself: class c mod p holds the offsets
+    with residue (c + shift) mod p, so counts by offset residue are
+    rolled by shift into counts by class.
     """
 
     def __init__(self, elements: np.ndarray) -> None:
@@ -133,41 +133,19 @@ class ResidueClasses:
         self._quot = np.empty_like(self._offsets)
         self._res = np.empty_like(self._offsets)
         self._min = int(elements[0])
-        self._p = 1
-        self._shift = 0
 
     def elements(self) -> np.ndarray:
         """The surviving elements, ascending, as a fresh int64 array."""
         return (self._offsets + self._base).view(np.int64)
 
-    def smallest_empty(self, p: int) -> tuple[int | None, np.ndarray | None]:
-        """``(r, None)`` for the smallest class r mod p that holds no element,
-        else ``(None, counts)`` with the count of every class in [0, p).
-
-        When four probe windows fit below p, only the classes below one
-        window are counted first; the full count runs only if all of them
-        are hit.
-        """
-        n = self._offsets.size
-        # Class c mod p holds the offsets with residue (c + shift) mod p.
-        self._p, self._shift = p, -self._min % p
-        window = _PROBE_FACTOR * math.exp(min(n / p, 700.0))
-        if 4 * window < p:
-            found = self._probe(math.ceil(window))
-            if found is not None:
-                return found, None
-        u, q, r = self._offsets, self._quot[:n], self._res[:n]
-        p_u = np.uint64(p)
+    def _residues(self, u: np.ndarray, p: int) -> np.ndarray:
+        """u mod p for offsets u, as int64, in the front of the reused buffers."""
+        q, r, p_u = self._quot[: u.size], self._res[: u.size], np.uint64(p)
         np.floor_divide(u, p_u, out=q)
         np.multiply(q, p_u, out=q)
-        np.subtract(u, q, out=r)
-        counts = np.roll(np.bincount(r.view(np.int64), minlength=p), -self._shift)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size:
-            return int(empty[0]), None
-        return None, counts
+        return np.subtract(u, q, out=r).view(np.int64)
 
-    def _probe(self, window: int) -> int | None:
+    def _probe(self, p: int, shift: int, window: int) -> int | None:
         """The smallest empty class below ``window`` (< p), or None when all are hit.
 
         For u = qp + r and M = ceil(2^64 / p), u*M mod 2^64 lies in
@@ -175,22 +153,20 @@ class ResidueClasses:
         Remainder by Direct Computation", 2019).  So with
         lo = floor(shift 2^64 / p), f = u*M - lo mod 2^64 is below ``arc``
         for every offset in classes [0, window), window wrap past p - 1
-        included, and only those candidates are reduced exactly.  When
+        included, and only those candidates go to ``_residues``.  When
         ``arc`` reaches 2^64 every offset is a candidate.
         """
-        p, shift, u = self._p, self._shift, self._offsets
-        spread = int(u[-1])  # offsets stay ascending
+        u = self._offsets
         lo = (shift << 64) // p
-        arc = -(-(((shift + window - 1) << 64) + spread * p) // p) + 1 - lo
+        arc = -(-(((shift + window - 1) << 64) + int(u[-1]) * p) // p) + 1 - lo
         if arc < 1 << 64:
             f = self._quot[: u.size]
             np.multiply(u, np.uint64(-(-(1 << 64) // p)), out=f)
             np.subtract(f, np.uint64(lo), out=f)
             u = u[f < np.uint64(arc)]
-        p_u = np.uint64(p)
-        classes = (u % p_u + np.uint64(p - shift)) % p_u
-        classes = classes[classes < window]
-        empty = np.flatnonzero(np.bincount(classes.view(np.int64), minlength=window) == 0)
+        classes = self._residues(u, p) - shift
+        classes[classes < 0] += p
+        empty = np.flatnonzero(np.bincount(classes[classes < window], minlength=window) == 0)
         return int(empty[0]) if empty.size else None
 
     def steps(self) -> Iterator[tuple[int, int, int]]:
@@ -201,20 +177,28 @@ class ResidueClasses:
         (the largest on ties) and ``removed`` its count.  That class leaves
         the survivors only when the walk resumes, so a caller that stops at
         the step, as ``check_admissible`` does, never pays for the removal.
+        Each step first probes the classes below one window, when four
+        windows fit below p, and counts every class only if all are hit.
         """
         # The limit 2 of a one-element set only satisfies prime_segments: 2 > 1 stops the walk.
         for p in (int(p) for s in prime_segments(max(2, self._offsets.size)) for p in s):
-            if p > self._offsets.size:
+            n = self._offsets.size
+            if p > n:
                 return
-            empty, counts = self.smallest_empty(p)
+            shift = -self._min % p
+            window = _PROBE_FACTOR * math.exp(min(n / p, 700.0))
+            empty = self._probe(p, shift, math.ceil(window)) if 4 * window < p else None
             if empty is not None:
                 yield p, empty, 0
-            else:
-                removed = int(counts.min())
-                residue = int(np.flatnonzero(counts == removed)[-1])
-                yield p, residue, removed
-                n = self._offsets.size
-                self._offsets = self._offsets[self._res[:n] != (residue + self._shift) % p]
+                continue
+            residues = self._residues(self._offsets, p)
+            counts = np.roll(np.bincount(residues, minlength=p), -shift)
+            removed = int(counts.min())
+            least = np.flatnonzero(counts == removed)
+            residue = int(least[-1] if removed else least[0])
+            yield p, residue, removed
+            if removed:
+                self._offsets = self._offsets[residues != (residue + shift) % p]
 
 
 def check_admissible(int_set: IntegerSet) -> AdmissibilityCertificate:

@@ -249,6 +249,7 @@ def _csv_rows(chunks: Iterator[tuple[int, np.ndarray]]) -> Iterator[str]:
             if nz.size:
                 rows = zip(nz.tolist(), block[nz].tolist())
                 yield "\n".join(f"{c_lo + b + i},{c}" for i, c in rows)
+        del counts, block  # before the chunks' source builds the next chunk
 
 
 def _run_romanoff(args: argparse.Namespace):

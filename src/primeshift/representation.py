@@ -169,6 +169,7 @@ def rep_search(int_set: IntegerSet, n_lo: int, n_hi: int, top_k: int) -> Represe
         best = sorted(best + _chunk_records(c_lo, counts, top_k))[:top_k]
         represented += int(np.count_nonzero(counts))
         total += int(counts.sum(dtype=np.int64))
+        del counts  # before rep_counts builds the next chunk
     records = tuple((n, -c) for c, n in best)
     return RepresentationProfile(int_set, n_lo, n_hi, represented, total, records)
 

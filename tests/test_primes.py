@@ -253,6 +253,33 @@ def test_is_prime_agrees_with_sympy(n):
     assert is_prime(n) == sympy.isprime(n)
 
 
+# Random values almost never reach the composites that fool weak
+# Miller-Rabin bases, so these are pinned against sympy.
+@pytest.mark.parametrize(
+    "n",
+    [
+        # strong pseudoprimes to the first 1, 4, 5, 6, 8 and 11 prime bases
+        2047,
+        3215031751,
+        2152302898747,
+        3474749660383,
+        341550071728321,
+        3825123056546413051,
+        # Carmichael numbers
+        561,
+        41041,
+        825265,
+        9746347772161,
+        # the two largest primes below isqrt(2^63), and their product
+        3037000493,
+        3037000453,
+        3037000493 * 3037000453,
+    ],
+)
+def test_is_prime_agrees_with_sympy_on_adversarial_values(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=2, max_value=5 * 10**4))
 def test_is_prime_agrees_with_trial_division(n):

@@ -238,8 +238,8 @@ def test_probe_modes_are_reached(mode, outcomes):
     seen = set()
     probe = ResidueClasses._probe
 
-    def spy(self, window):
-        found = probe(self, window)
+    def spy(self, p, shift, window):
+        found = probe(self, p, shift, window)
         seen.add("miss" if found is None else "hit")
         return found
 
@@ -290,17 +290,12 @@ def edge_elements(a_min, a_max, empty, rng):
 def test_smallest_empty_matches_oracle_at_the_filter_edge(lo, hi, a_min_class, empty):
     a_min = lo if a_min_class is None else lo + (a_min_class - lo) % EDGE_P
     xs = edge_elements(a_min, hi, empty, random.Random(f"{lo} {a_min_class} {empty}"))
-    seen = []
-    probe = ResidueClasses._probe
-
-    def spy(self, window):
-        found = probe(self, window)
-        seen.append(found)
-        return found
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ResidueClasses, "_probe", spy)
-        found, _ = ResidueClasses(np.array(xs, dtype=np.int64)).smallest_empty(EDGE_P)
-    assert found == smallest_empty_class(xs, EDGE_P)
-    # The probe ran and found class 7, or missed and left it to the full count.
-    assert seen == [empty]
+    # The shift and window that ResidueClasses.steps hands the probe at EDGE_P.
+    window = admissible._PROBE_FACTOR * math.exp(len(xs) / EDGE_P)
+    assert 4 * window < EDGE_P
+    window = math.ceil(window)
+    found = ResidueClasses(np.array(xs, dtype=np.int64))._probe(EDGE_P, -a_min % EDGE_P, window)
+    oracle = smallest_empty_class(xs, EDGE_P)
+    assert found == (oracle if oracle < window else None)
+    # The probe finds class 7, or misses and leaves the class to the full count.
+    assert found == empty

@@ -1,3 +1,4 @@
+import collections
 import random
 import tracemalloc
 
@@ -14,7 +15,7 @@ from primeshift import (
     rep_search,
     romanoff_counts,
 )
-from primeshift import representation
+from primeshift import cli, representation
 
 from support import brute_rep_count, byte_sieve, nonzero_pairs, rep_count, romanoff_oracle
 
@@ -143,6 +144,34 @@ class TestRepSearch:
         finally:
             tracemalloc.stop()
         assert peak < 8 * representation._CHUNK
+
+    @pytest.mark.parametrize("consumer", ["rep_search", "csv_rows"])
+    def test_each_chunk_is_freed_before_the_next_is_built(self, consumer):
+        # Each chunk's counts take _CHUNK bytes here, and nothing of them
+        # may still be held when the next chunk's counting starts.  Only the
+        # n in [2, 2^16], at the end of the second chunk, are represented,
+        # so the csv rows are few.
+        held = []
+        build = representation._chunk_counts
+
+        def spy(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return build(*args)
+
+        int_set = IntegerSet((0,))
+        n_lo, n_hi = (1 << 16) - 2 * representation._CHUNK, 1 << 16
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(representation, "_chunk_counts", spy)
+            tracemalloc.start()
+            try:
+                if consumer == "rep_search":
+                    rep_search(int_set, n_lo, n_hi, 10)
+                else:
+                    collections.deque(cli._csv_rows(rep_counts(int_set, n_lo, n_hi)), maxlen=0)
+            finally:
+                tracemalloc.stop()
+        assert len(held) == 3
+        assert max(held[1:]) < representation._CHUNK // 2
 
     def test_memory_of_an_all_ties_range_follows_the_chunk(self):
         # n - 10^12 < 0 for every n, so every count is 0 and every n ties
