@@ -32,7 +32,7 @@ from .bounds import (
     verify_proof_constants,
 )
 from .errors import ParseError, PrimeShiftError, ValidationError
-from .primes import prime_segments
+from .primes import count_primes
 from .prune import greedy_prune
 from .representation import SEQUENCE_KINDS, check_top_k, gen_sequence, rep_counts
 from .representation import rep_search, romanoff_counts
@@ -289,11 +289,7 @@ def _run_gen(args: argparse.Namespace):
 
 def _run_primes(args: argparse.Namespace):
     limit = args.limit
-    count, largest = 0, None
-    for segment in prime_segments(limit):
-        if segment.size:
-            count += segment.size
-            largest = int(segment[-1])
+    count, largest = count_primes(limit)
     result = {"limit": limit, "count": count, "largest": largest}
     text = f"{count} primes up to {limit} (largest {largest})"
     return result, {"limit": limit}, 0, text, None

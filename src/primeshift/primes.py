@@ -17,7 +17,9 @@ one read-only int64 table, ``_BASE``, built once at import through
 ``prime_flags`` too.  Primes are enumerated as int64 up to
 WINDOW_VALUE_MAX = 10^12 by one stream: ``_BASE`` clipped at the limit,
 then one array per segment past it.  ``prime_segments`` is that stream,
-``sieve`` concatenates it, and ``nth_prime`` walks it.
+``sieve`` concatenates it, and ``nth_prime`` walks it.  ``count_primes``
+counts the primes up to a limit from the stream's primes up to its
+square root alone.
 """
 
 from __future__ import annotations
@@ -161,13 +163,17 @@ def _piece(lo: int, hi: int) -> np.ndarray:
     return flags
 
 
-def prime_segments(limit: int) -> Iterator[np.ndarray]:
-    """The primes in [2, limit], ascending, one int64 array (to be read only) for
-    the base primes, then one per segment past them; checks ``limit`` now."""
+def _check_limit(limit: int) -> None:
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > WINDOW_VALUE_MAX:
         raise ResourceError(f"sieve limit {limit} exceeds WINDOW_VALUE_MAX = {WINDOW_VALUE_MAX}")
+
+
+def prime_segments(limit: int) -> Iterator[np.ndarray]:
+    """The primes in [2, limit], ascending, one int64 array (to be read only) for
+    the base primes, then one per segment past them; checks ``limit`` now."""
+    _check_limit(limit)
     clipped = _BASE[: np.searchsorted(_BASE, limit, side="right")]
     return itertools.chain((clipped,), _primes_in(_BASE_LIMIT + 1, limit))
 
@@ -177,6 +183,54 @@ def sieve(limit: int) -> PrimeTable:
     primes = np.concatenate([*prime_segments(limit)])
     primes.setflags(write=False)
     return PrimeTable(limit, primes)
+
+
+def count_primes(limit: int) -> tuple[int, int]:
+    """(pi(limit), the largest prime <= limit) for 2 <= limit <= WINDOW_VALUE_MAX.
+
+    The count is Legendre's recurrence as a dynamic program over the
+    about 2 * sqrt(limit) values v in {limit // i} and [1, sqrt(limit)]:
+    S(v) starts as v - 1, and for each prime p <= sqrt(limit) in turn,
+    S(v) -= S(v // p) - S(p - 1) for every v >= p^2, which strikes the
+    numbers whose least prime factor is p.  Each round reads only the
+    previous round's values.  The rounds cost O(limit^(3/4)) in all and
+    read only the primes up to sqrt(limit), so no prime past it is
+    listed.  The largest prime comes from one ``prime_flags`` window that
+    ends at the limit.
+    """
+    _check_limit(limit)
+    r = math.isqrt(limit)
+    # small[v] = S(v) for v <= r; large[i] = S(limit // i) for 1 <= i <= r.
+    # Every value is at most 10^12, so int64 is exact.
+    small = np.arange(-1, r, dtype=np.int64)
+    small[0] = 0
+    quot = limit // np.arange(1, r + 1, dtype=np.int64)
+    large = np.concatenate(([0], quot - 1))
+    # The stream starts at 2; below 4 that prime strikes nothing, as no v reaches 2^2.
+    for segment in prime_segments(max(r, 2)):
+        for p in segment.tolist():
+            below = small[p - 1]
+            # limit // i >= p^2 iff i <= top; (limit // i) // p is the entry
+            # large[i * p] while i * p <= r, and small[(limit // i) // p] past it.
+            top = min(r, limit // (p * p))
+            near = min(top, r // p)
+            large[1 : near + 1] -= large[p : near * p + 1 : p] - below
+            large[near + 1 : top + 1] -= small[quot[near:top] // p] - below
+            if p * p <= r:
+                # v // p for v = p^2 .. r is p, p, ..., p + 1, ...: each small
+                # entry from p on, repeated p times.
+                small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - below
+    # The widest prime gap below 10^12 is 540, after 738 832 927 927, so for
+    # limit >= 3 the first window holds a prime; widening is only a safeguard.
+    width = 1 << 12
+    while True:
+        lo = max(limit - width + 1, 2)
+        odd = np.flatnonzero(prime_flags(lo, limit))
+        if odd.size or lo == 2:
+            break
+        width *= 2
+    largest = (lo | 1) + 2 * int(odd[-1]) if odd.size else 2
+    return int(large[1]), largest
 
 
 def nth_prime(i: int) -> int:

@@ -206,9 +206,11 @@ def romanoff_counts(limit: int, k_min: int = 1) -> tuple[int, int]:
     for k in range(1, (limit - 3).bit_length()):
         h = 1 << (k - 1)
         shift, carry = h >> 3, h & 7
-        reachable[shift:] |= odd_primes[: odd_primes.size - shift] << carry
         if carry:
+            reachable[shift:] |= odd_primes[: odd_primes.size - shift] << carry
             reachable[shift + 1 :] |= odd_primes[: odd_primes.size - shift - 1] >> (8 - carry)
+        else:
+            reachable[shift:] |= odd_primes[: odd_primes.size - shift]
     # Bit 0 (n = 1) stays clear: every shift moves a bit j >= 1 up by h >= 1.
     if k_min == 0:
         reachable[0] |= 0b10  # n = 3 = 2 + 2^0

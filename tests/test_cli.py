@@ -395,10 +395,25 @@ class TestMain:
         assert proc.wait(timeout=60) == 141
         assert stderr == b""
 
+    def test_primes_at_the_window_ceiling(self):
+        ceiling = primeshift.primes.WINDOW_VALUE_MAX
+        proc = subprocess.run(
+            [sys.executable, "-m", "primeshift.cli", "primes", "--limit", str(ceiling)],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        result = json.loads(proc.stdout)["result"]
+        assert result["count"] == 37_607_912_018 == primeshift.primes._PRIME_COUNT_MAX
+        assert result["largest"] == 999_999_999_989
+        assert run("primes", "--limit", ceiling + 1)[0] == 2
+
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
     def test_primes_memory_follows_the_segment(self):
-        # 5761455 primes to 10^8 would be 46 MB as int64 alone; the count and
-        # the largest prime need only one segment at a time.
+        # 5761455 primes to 10^8 would be 46 MB as int64 alone; the count reads
+        # the primes to 10^4 alone, and the largest prime one window ending at 10^8.
         proc = subprocess.run(
             [sys.executable, "-c", _SPAWN_AND_MEASURE, sys.executable, "-m", "primeshift.cli"]
             + ["primes", "--limit", str(10**8)],

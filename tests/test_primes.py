@@ -88,6 +88,59 @@ def test_prime_segments_open_with_two():
     assert [s.tolist() for s in primes_mod.prime_segments(3)] == [[2, 3]]
 
 
+def stream_count(limit):
+    """(count, largest) summed from prime_segments: the stream count_primes replaces."""
+    segments = [s for s in primes_mod.prime_segments(limit) if s.size]
+    return sum(s.size for s in segments), int(segments[-1][-1])
+
+
+def test_count_primes_matches_the_stream_to_5000():
+    for limit in range(2, 5001):
+        assert primes_mod.count_primes(limit) == stream_count(limit), limit
+
+
+def test_count_primes_around_base_prime_squares():
+    # The round of p updates each v >= p^2: in the small half (v <= isqrt(limit))
+    # only once p^2 <= isqrt(limit), so near limit = p^4 too.
+    limits = [10**6 + k for k in (-2, -1, 0, 1, 2, 3)]
+    for p in [*primes_mod._BASE[:30].tolist(), 997, 1009, 1999, 2003]:
+        limits += [p * p - 1, p * p, p * p + 1]
+    for p in primes_mod._BASE[:12].tolist():
+        limits += [p**4 - 1, p**4, p**4 + p * p, (p * p + 1) ** 2 - 1]
+    for limit in limits:
+        assert primes_mod.count_primes(limit) == stream_count(limit), limit
+
+
+def test_count_primes_agrees_with_sympy():
+    rng = random.Random(2808)
+    limits = [rng.randint(2, 10**k) for k in range(2, 10) for _ in range(3)] + [10**9]
+    for limit in limits:
+        count, largest = primes_mod.count_primes(limit)
+        assert type(count) is int and type(largest) is int
+        assert (count, largest) == (sympy.primepi(limit), sympy.prevprime(limit + 1)), limit
+
+
+def test_count_primes_at_powers_of_ten():
+    # OEIS A006880.
+    assert primes_mod.count_primes(10**9)[0] == 50_847_534
+    assert primes_mod.count_primes(10**10)[0] == 455_052_511
+    assert primes_mod.count_primes(10**11)[0] == 4_118_054_813
+
+
+def test_count_primes_largest_across_the_widest_gap():
+    # The widest prime gap below 10^12: 540, after 738 832 927 927.
+    assert primes_mod.count_primes(738_832_927_927 + 539)[1] == 738_832_927_927
+
+
+def test_count_primes_shares_the_stream_limits():
+    ceiling = primes_mod.WINDOW_VALUE_MAX
+    for limit in (-1, 0, 1):
+        with pytest.raises(DomainError, match=f"sieve limit must be >= 2, got {limit}"):
+            primes_mod.count_primes(limit)
+    with pytest.raises(ResourceError, match=f"WINDOW_VALUE_MAX = {ceiling}"):
+        primes_mod.count_primes(ceiling + 1)
+
+
 def cut_base(monkeypatch, c):
     """Cut the base table to the primes <= c, so that the stream runs through
     prime_flags from c + 1 on; exact for every value below (c + 1)^2."""
@@ -162,6 +215,8 @@ def test_stream_matches_oracles_across_the_base_seam(monkeypatch):
     segments = list(primes_mod.prime_segments(2000))
     assert segments[0].tolist() == [p for p in oracle if p <= 50]
     assert np.concatenate(segments).tolist() == oracle
+    # Past 51^2 the count reads primes up to its square root from past the cut.
+    assert primes_mod.count_primes(10**4) == (1229, 9973) == stream_count(10**4)
     elements = random.Random(50).sample(range(-(10**4), 10**4), 300)
     trace = greedy_prune(IntegerSet.from_values(elements))
     steps, s, stop, survivors = greedy_prune_oracle(elements)
