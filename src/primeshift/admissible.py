@@ -78,9 +78,11 @@ class IntegerSet:
             raise ValidationError("an IntegerSet needs at least one element")
         down = np.flatnonzero(arr[1:] <= arr[:-1])
         if down.size:
-            i = down[0]
+            a, b = arr[down[0]], arr[down[0] + 1]
+            if a == b:
+                raise ValidationError(f"duplicate value {a}")
             raise ValidationError(
-                f"elements must be strictly increasing; {arr[i + 1]} follows {arr[i]}"
+                f"elements must be strictly increasing; {b} follows {a}"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "elements", arr)
@@ -88,11 +90,7 @@ class IntegerSet:
     @classmethod
     def from_values(cls, values: Sequence[int] | np.ndarray) -> "IntegerSet":
         """Sort arbitrary input; duplicates are an error, not a merge."""
-        arr = np.sort(_int64_array(values))
-        dup = np.flatnonzero(arr[1:] == arr[:-1])
-        if dup.size:
-            raise ValidationError(f"duplicate value {arr[dup[0]]}")
-        return cls(arr)
+        return cls(np.sort(_int64_array(values)))
 
     @property
     def size(self) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_FLOOR, Context, Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
@@ -65,21 +65,15 @@ def maynard_m(k: int) -> int:
 
     Evaluated in ``decimal`` at 60 significant digits, with correctly
     rounded ``ln`` and ``exp``, so the strict inequality cannot flip on
-    rounding near a threshold.  The floor of (ln v - 4) / 8 is only a
-    first guess; the loops settle m on the inequality itself.
+    rounding near a threshold.  e^(8m+4) grows with m, so m counts up
+    from 0 while the next value still holds: at most m + 1 ``exp`` calls.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    if k == 1:
-        return 0
     with localcontext(_CTX):
         v = Decimal(k) * Decimal(k).ln()
-        if v <= Decimal(4).exp():
-            return 0
-        m = int(((v.ln() - 4) / 8).to_integral_value(rounding=ROUND_FLOOR))
-        while m > 0 and v <= Decimal(8 * m + 4).exp():
-            m -= 1
-        while v > Decimal(8 * (m + 1) + 4).exp():
+        m = 0
+        while v > Decimal(8 * m + 12).exp():
             m += 1
         return m
 

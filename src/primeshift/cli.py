@@ -130,9 +130,9 @@ def _set_summary(path: str, int_set: IntegerSet) -> dict[str, Any]:
 
 
 # Each runner reads the parsed arguments and returns (result, summary,
-# exit_code, text, csv_blocks); csv_blocks is an iterable of text blocks,
-# or None unless the subcommand's --format offers csv.  repsearch's csv
-# path returns csv_blocks alone.
+# exit_code, report); report is the text output, or for repsearch's csv
+# format an iterable of csv blocks, with result and summary None.  gen's
+# text and csv outputs are the same listing.
 def _run_check(args: argparse.Namespace):
     int_set = parse_input_set(args.input)
     cert = check_admissible(int_set)
@@ -146,7 +146,7 @@ def _run_check(args: argparse.Namespace):
         text.append(f"covering prime: {cert.covered_prime}")
     else:
         text.append(f"examined primes: {len(cert.missed_residues)}")
-    return result, _set_summary(args.input, int_set), 0, "\n".join(text), None
+    return result, _set_summary(args.input, int_set), 0, "\n".join(text)
 
 
 def _run_prune(args: argparse.Namespace):
@@ -164,7 +164,7 @@ def _run_prune(args: argparse.Namespace):
         f"pruned {trace.input_size} -> {trace.final_size} elements "
         f"in {trace.s} steps (stop prime {trace.stop_prime})"
     )
-    return result, _set_summary(args.input, int_set), 0, text, None
+    return result, _set_summary(args.input, int_set), 0, text
 
 
 def _run_guarantee(args: argparse.Namespace):
@@ -176,7 +176,7 @@ def _run_guarantee(args: argparse.Namespace):
         f"satisfied={str(report.satisfied).lower()}"
     )
     code = 0 if report.satisfied else 1
-    return vars(report), _set_summary(args.input, int_set), code, text, None
+    return vars(report), _set_summary(args.input, int_set), code, text
 
 
 def _run_bound(args: argparse.Namespace):
@@ -195,7 +195,7 @@ def _run_bound(args: argparse.Namespace):
         result["corollary"] = {"x": x, "value": value}
         lines.append(f"corollary_bound({x}) = {value:.6f}")
     summary = {"ell": ell, "x": x}
-    return result, summary, 0, "\n".join(lines), None
+    return result, summary, 0, "\n".join(lines)
 
 
 def _run_verify_lemmas(args: argparse.Namespace):
@@ -207,7 +207,7 @@ def _run_verify_lemmas(args: argparse.Namespace):
         f"{'PASS' if r.passed else 'FAIL'} {r.name} (margin {r.margin:.6g})"
         for r in reports
     ]
-    return result, {"mertens_limit": limit}, 0 if all_passed else 1, "\n".join(lines), None
+    return result, {"mertens_limit": limit}, 0 if all_passed else 1, "\n".join(lines)
 
 
 def _run_repsearch(args: argparse.Namespace):
@@ -217,7 +217,7 @@ def _run_repsearch(args: argparse.Namespace):
     top_k = args.top_k
     if args.format == "csv":
         check_top_k(top_k)
-        return None, None, 0, None, _csv_rows(rep_counts(int_set, n_lo, n_hi))
+        return None, None, 0, _csv_rows(rep_counts(int_set, n_lo, n_hi))
     profile = rep_search(int_set, n_lo, n_hi, top_k)
     result = {
         "n_lo": n_lo,
@@ -235,7 +235,7 @@ def _run_repsearch(args: argparse.Namespace):
         f"max count {profile.max_count}"
     ]
     text += [f"  n={n} count={c}" for n, c in profile.records]
-    return result, summary, 0, "\n".join(text), None
+    return result, summary, 0, "\n".join(text)
 
 
 def _csv_rows(chunks: Iterator[tuple[int, np.ndarray]]) -> Iterator[str]:
@@ -264,7 +264,7 @@ def _run_romanoff(args: argparse.Namespace):
         "density": representable / odd_count,
     }
     text = f"density({limit}, k_min={k_min}) = {representable / odd_count:.6f}"
-    return result, {"limit": limit, "k_min": k_min}, 0, text, None
+    return result, {"limit": limit, "k_min": k_min}, 0, text
 
 
 def _run_gen(args: argparse.Namespace):
@@ -284,7 +284,7 @@ def _run_gen(args: argparse.Namespace):
         "elements": elements,
     }
     summary = {"kind": kind, "count": count, "ratio": ratio}
-    return result, summary, 0, listing, (listing,)
+    return result, summary, 0, listing
 
 
 def _run_primes(args: argparse.Namespace):
@@ -292,25 +292,23 @@ def _run_primes(args: argparse.Namespace):
     count, largest = count_primes(limit)
     result = {"limit": limit, "count": count, "largest": largest}
     text = f"{count} primes up to {limit} (largest {largest})"
-    return result, {"limit": limit}, 0, text, None
+    return result, {"limit": limit}, 0, text
 
 
 def dispatch(args: argparse.Namespace) -> tuple[int, str | Iterable[str]]:
     """Run the parsed subcommand's runner; returns (exit_code, report).
 
     Exit 2 reports are error messages, others are in the requested
-    format: a csv report is an iterable of text blocks, each one or more
-    lines, and every other report one string.  Output is a pure function
-    of the arguments, so identical runs yield identical bytes.
+    format: repsearch's csv report is an iterable of text blocks, each
+    one or more lines, and every other report one string.  Output is a
+    pure function of the arguments, so identical runs give identical bytes.
     """
     try:
-        result, summary, code, text, csv_blocks = args.run(args)
+        result, summary, code, report = args.run(args)
     except (PrimeShiftError, OSError) as exc:
         return 2, f"error: {exc}"
-    if args.format == "csv":
-        return code, csv_blocks
-    if args.format == "text":
-        return code, text
+    if args.format != "json":
+        return code, report
     envelope = {
         "version": JSON_VERSION,
         "subcommand": args.subcommand,

@@ -220,15 +220,10 @@ def count_primes(limit: int) -> tuple[int, int]:
                 # v // p for v = p^2 .. r is p, p, ..., p + 1, ...: each small
                 # entry from p on, repeated p times.
                 small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - below
-    # The widest prime gap below 10^12 is 540, after 738 832 927 927, so for
-    # limit >= 3 the first window holds a prime; widening is only a safeguard.
-    width = 1 << 12
-    while True:
-        lo = max(limit - width + 1, 2)
-        odd = np.flatnonzero(prime_flags(lo, limit))
-        if odd.size or lo == 2:
-            break
-        width *= 2
+    # The widest prime gap below 10^12 is 540, after 738 832 927 927, and the largest
+    # prime below 10^12 is 999 999 999 989: for limit >= 3 this window holds a prime.
+    lo = max(limit - (1 << 12) + 1, 2)
+    odd = np.flatnonzero(prime_flags(lo, limit))
     largest = (lo | 1) + 2 * int(odd[-1]) if odd.size else 2
     return int(large[1]), largest
 

@@ -75,6 +75,8 @@ class TestIntegerSet:
             IntegerSet.from_values([9, 3, 7, 9, 3])
         with pytest.raises(ValidationError, match="; 1 follows 3$"):
             IntegerSet((0, 3, 1, 2))
+        with pytest.raises(ValidationError, match="^duplicate value 3$"):
+            IntegerSet((0, 3, 3))
         with pytest.raises(ValidationError, match=r"one-dimensional, got shape \(2, 2\)$"):
             IntegerSet(np.array([[1, 5], [7, 9]]))
         with pytest.raises(ValidationError, match=r"one-dimensional, got shape \(\)$"):

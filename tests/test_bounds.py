@@ -28,6 +28,11 @@ from support import prime_reciprocal_product, trial_division_primes
 # and 28277050.
 M1_THRESHOLD = 16736
 M2_THRESHOLD = 28277050
+# The same bisection (as in test_acceptance.py) for m = 3, 4 and 5: the
+# smallest k with k*ln(k) above e^28, e^36 and e^44.
+M3_THRESHOLD = 58_341_337_577
+M4_THRESHOLD = 132_579_033_847_053
+M5_THRESHOLD = 318_870_096_163_054_793
 
 
 class TestMaynardM:
@@ -59,7 +64,7 @@ class TestMaynardM:
             assert below <= mpmath.exp(20) < above
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(min_value=1, max_value=10**18))
+    @given(st.integers(min_value=1, max_value=10**100))
     @example(2)
     @example(55)
     @example(10**4)
@@ -67,6 +72,13 @@ class TestMaynardM:
     @example(10**6)
     @example(M2_THRESHOLD)
     @example(10**9)
+    @example(M3_THRESHOLD - 1)
+    @example(M3_THRESHOLD)
+    @example(M4_THRESHOLD - 1)
+    @example(M4_THRESHOLD)
+    @example(M5_THRESHOLD - 1)
+    @example(M5_THRESHOLD)
+    @example(10**100)
     def test_definition_holds_at_samples(self, k):
         m = maynard_m(k)
         with mpmath.workdps(60):

@@ -127,9 +127,24 @@ def test_count_primes_at_powers_of_ten():
     assert primes_mod.count_primes(10**11)[0] == 4_118_054_813
 
 
-def test_count_primes_largest_across_the_widest_gap():
-    # The widest prime gap below 10^12: 540, after 738 832 927 927.
-    assert primes_mod.count_primes(738_832_927_927 + 539)[1] == 738_832_927_927
+def test_count_primes_largest_across_the_widest_gap(monkeypatch):
+    # The widest prime gap below 10^12: 540, after 738 832 927 927.  The
+    # largest prime comes from one prime_flags window of at most 2^12
+    # numbers that ends at the limit.
+    calls = []
+
+    def spy(lo, hi):
+        calls.append((lo, hi))
+        return prime_flags(lo, hi)
+
+    monkeypatch.setattr(primes_mod, "prime_flags", spy)
+    cases = {738_832_927_927 + 539: 738_832_927_927, 2: 2, 3: 3, 4096: 4093, 4097: 4093}
+    for limit, largest in cases.items():
+        calls.clear()
+        assert primes_mod.count_primes(limit)[1] == largest
+        assert len(calls) == 1
+        lo, hi = calls[0]
+        assert hi == limit and hi - lo < 1 << 12
 
 
 def test_count_primes_shares_the_stream_limits():
