@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .primes import prime_segments
+from .primes import WINDOW_VALUE_MAX, prime_segments
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -118,18 +118,17 @@ class ResidueClasses:
     ``steps`` is the one walk over the primes, and ``_residues`` the one
     place residues are computed: on uint64 offsets u = a - a_min, which
     cannot overflow (the spread is at most 2^64 - 1), as u - (u // p) * p
-    into the front of buffers reused from prime to prime.  The walk keeps
-    p and shift = -a_min mod p to itself: class c mod p holds the offsets
-    with residue (c + shift) mod p, so counts by offset residue are
-    rolled by shift into counts by class.
+    into the front of one scratch array reused from prime to prime.  The
+    walk keeps p and shift = -a_min mod p to itself: an offset with
+    residue r lies in class (r - shift) mod p, and that map is applied only
+    to the residues a step reports on, never to every offset.
     """
 
     def __init__(self, elements: np.ndarray) -> None:
         u = elements.view(np.uint64)
         self._base = u[0]
         self._offsets = u - u[0]
-        self._quot = np.empty_like(self._offsets)
-        self._res = np.empty_like(self._offsets)
+        self._scratch = np.empty_like(self._offsets)
         self._min = int(elements[0])
 
     def elements(self) -> np.ndarray:
@@ -137,11 +136,11 @@ class ResidueClasses:
         return (self._offsets + self._base).view(np.int64)
 
     def _residues(self, u: np.ndarray, p: int) -> np.ndarray:
-        """u mod p for offsets u, as int64, in the front of the reused buffers."""
-        q, r, p_u = self._quot[: u.size], self._res[: u.size], np.uint64(p)
-        np.floor_divide(u, p_u, out=q)
-        np.multiply(q, p_u, out=q)
-        return np.subtract(u, q, out=r).view(np.int64)
+        """u mod p for offsets u, as int64, in the front of the scratch array."""
+        r, p_u = self._scratch[: u.size], np.uint64(p)
+        np.floor_divide(u, p_u, out=r)
+        np.multiply(r, p_u, out=r)
+        return np.subtract(u, r, out=r).view(np.int64)
 
     def _probe(self, p: int, shift: int, window: int) -> int | None:
         """The smallest empty class below ``window`` (< p), or None when all are hit.
@@ -158,12 +157,11 @@ class ResidueClasses:
         lo = (shift << 64) // p
         arc = -(-(((shift + window - 1) << 64) + int(u[-1]) * p) // p) + 1 - lo
         if arc < 1 << 64:
-            f = self._quot[: u.size]
+            f = self._scratch[: u.size]
             np.multiply(u, np.uint64(-(-(1 << 64) // p)), out=f)
             np.subtract(f, np.uint64(lo), out=f)
             u = u[f < np.uint64(arc)]
-        classes = self._residues(u, p) - shift
-        classes[classes < 0] += p
+        classes = (self._residues(u, p) - shift) % p
         empty = np.flatnonzero(np.bincount(classes[classes < window], minlength=window) == 0)
         return int(empty[0]) if empty.size else None
 
@@ -178,8 +176,7 @@ class ResidueClasses:
         Each step first probes the classes below one window, when four
         windows fit below p, and counts every class only if all are hit.
         """
-        # The limit 2 of a one-element set only satisfies prime_segments: 2 > 1 stops the walk.
-        for p in (int(p) for s in prime_segments(max(2, self._offsets.size)) for p in s):
+        for p in (int(p) for s in prime_segments(WINDOW_VALUE_MAX) for p in s):
             n = self._offsets.size
             if p > n:
                 return
@@ -190,13 +187,15 @@ class ResidueClasses:
                 yield p, empty, 0
                 continue
             residues = self._residues(self._offsets, p)
-            counts = np.roll(np.bincount(residues, minlength=p), -shift)
+            counts = np.bincount(residues, minlength=p)
             removed = int(counts.min())
+            # The offset residues of the least-populated classes, and their classes.
             least = np.flatnonzero(counts == removed)
-            residue = int(least[-1] if removed else least[0])
-            yield p, residue, removed
+            classes = (least - shift) % p
+            pick = classes.argmax() if removed else classes.argmin()
+            yield p, int(classes[pick]), removed
             if removed:
-                self._offsets = self._offsets[residues != (residue + shift) % p]
+                self._offsets = self._offsets[residues != least[pick]]
 
 
 def check_admissible(int_set: IntegerSet) -> AdmissibilityCertificate:

@@ -180,6 +180,13 @@ def verify_mertens(x_max: int) -> LemmaReport:
     )
 
 
+def _exceeds(name: str, checked_range: str, lhs: Decimal, rhs: Decimal | int) -> LemmaReport:
+    """The report on lhs > rhs, margin lhs - rhs; called inside ``localcontext(_CTX)``."""
+    return LemmaReport(
+        name=name, checked_range=checked_range, margin=float(lhs - rhs), passed=lhs > rhs
+    )
+
+
 def verify_proof_constants() -> list[LemmaReport]:
     """Re-derive the three numeric facts the pipeline analysis rests on.
 
@@ -188,43 +195,27 @@ def verify_proof_constants() -> list[LemmaReport]:
         integer match, -|difference| a mismatch);
     (c) ln(546) / (1.846 ln(547)) > 0.54.
     """
-    reports: list[LemmaReport] = []
-
     product = survivor_lower_bound(1, 100)
+    p101 = nth_prime(101)
     with localcontext(_CTX):
         kept = Decimal(product.numerator) / Decimal(product.denominator)
-        lhs = Decimal(12).exp() * kept
-        margin_a = float(lhs - 547)
-        passed_a = lhs > 547
-    reports.append(
-        LemmaReport(
-            name="e12_prime_product_exceeds_547",
-            checked_range="first 100 primes, exact rational product",
-            margin=margin_a,
-            passed=passed_a,
-        )
-    )
-
-    p101 = nth_prime(101)
-    reports.append(
-        LemmaReport(
-            name="prime_101_is_547",
-            checked_range="i = 101",
-            margin=1.0 if p101 == 547 else -float(abs(p101 - 547)),
-            passed=p101 == 547,
-        )
-    )
-
-    with localcontext(_CTX):
-        ratio = Decimal(546).ln() / (Decimal("1.846") * Decimal(547).ln())
-        margin_c = float(ratio - Decimal("0.54"))
-        passed_c = ratio > Decimal("0.54")
-    reports.append(
-        LemmaReport(
-            name="log_ratio_exceeds_0.54",
-            checked_range="constants 546, 547, 1.846",
-            margin=margin_c,
-            passed=passed_c,
-        )
-    )
-    return reports
+        return [
+            _exceeds(
+                "e12_prime_product_exceeds_547",
+                "first 100 primes, exact rational product",
+                Decimal(12).exp() * kept,
+                547,
+            ),
+            LemmaReport(
+                name="prime_101_is_547",
+                checked_range="i = 101",
+                margin=1.0 if p101 == 547 else -float(abs(p101 - 547)),
+                passed=p101 == 547,
+            ),
+            _exceeds(
+                "log_ratio_exceeds_0.54",
+                "constants 546, 547, 1.846",
+                Decimal(546).ln() / (Decimal("1.846") * Decimal(547).ln()),
+                Decimal("0.54"),
+            ),
+        ]

@@ -94,8 +94,9 @@ def prime_flags(lo: int, hi: int) -> np.ndarray:
     is prime, read-only by convention.  The prime 2 has no entry, so a
     window that holds no odd number gives an empty array.  Entries for
     n < 2 are 0, so negative windows are valid.  The window is sieved
-    2 * ``_SEGMENT`` numbers at a time, each piece with the base primes
-    up to bound = min(isqrt(hi), _BASE_LIMIT) of its own hi.  The
+    2 * ``_SEGMENT`` numbers at a time, each piece written straight into
+    its slice of the result, with the base primes up to
+    bound = min(isqrt(hi), _BASE_LIMIT) of its own hi.  The
     kernel clears only composites, and a composite it leaves has no prime
     factor <= bound, so it is at least (bound + 1)^2.  The sieve alone is
     therefore exact below (10^6 + 1)^2, and each survivor from there on
@@ -106,17 +107,16 @@ def prime_flags(lo: int, hi: int) -> np.ndarray:
         raise DomainError(f"empty window: lo={lo} > hi={hi}")
     if hi >= 2**63:
         raise DomainError(f"window upper end {hi} exceeds the 64-bit range")
-    if hi - lo < 2 * _SEGMENT:
-        return _piece(lo, hi)
     flags = np.empty((hi - (lo | 1)) // 2 + 1, dtype=np.uint8)
     for start in range(lo, hi + 1, 2 * _SEGMENT):
         i = (start - lo) // 2
-        flags[i : i + _SEGMENT] = _piece(start, min(start + 2 * _SEGMENT - 1, hi))
+        _piece(start, min(start + 2 * _SEGMENT - 1, hi), flags[i : i + _SEGMENT])
     return flags
 
 
-def _piece(lo: int, hi: int) -> np.ndarray:
-    """Exact uint8 flags for the odd numbers lo | 1, (lo | 1) + 2, ... <= hi.
+def _piece(lo: int, hi: int, flags: np.ndarray) -> None:
+    """Write exact uint8 flags for the odd numbers lo | 1, (lo | 1) + 2, ... <= hi
+    into ``flags``, one entry each.
 
     The window is at most 2 * _SEGMENT numbers wide.  The kernel clears
     the odd multiples >= p^2 of every base prime p <= bound =
@@ -124,14 +124,18 @@ def _piece(lo: int, hi: int) -> np.ndarray:
     (bound + 1)^2 are confirmed by ``is_prime``.
     """
     first = lo | 1
-    width = (hi - first) // 2 + 1
-    if hi < 3:
-        return np.zeros(width, dtype=np.uint8)
-    flags = np.resize(np.roll(_COPRIME, -(first % _WHEEL // 2)), width)
+    width = flags.size
+    # The wheel pattern from first on: whole periods, then the head of one more.
+    wheel = np.roll(_COPRIME, -(first % _WHEEL // 2))
+    tiled = width - width % wheel.size
+    flags[:tiled].reshape(-1, wheel.size)[:] = wheel
+    flags[tiled:] = wheel[: width - tiled]
     for p in _WHEEL_PRIMES[1:]:
         if first <= p <= hi:
             flags[(p - first) // 2] = 1
     flags[: max(0, (1 - first) // 2 + 1)] = 0  # the odd n <= 1
+    if hi < 3:
+        return  # every entry is an odd n <= 1
     # Offsets from s, not values: s + offset may pass 2^63 - 1 where it is never stored.
     s = max(first, 3)
     bound = min(math.isqrt(hi), _BASE_LIMIT)
@@ -160,7 +164,6 @@ def _piece(lo: int, hi: int) -> np.ndarray:
     for i in np.flatnonzero(flags[skip:]).tolist():
         if not is_prime(first + 2 * (skip + i)):
             flags[skip + i] = 0
-    return flags
 
 
 def _check_limit(limit: int) -> None:

@@ -17,9 +17,14 @@ To rewrite them after such a change: ``python tests/test_golden.py``.
 import contextlib
 import io
 import os
+import sys
 from pathlib import Path
 
 import pytest
+
+if __name__ == "__main__":
+    # Run as a script, rewrite the goldens from this checkout's src/.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from primeshift.cli import main
 

@@ -186,7 +186,9 @@ def test_tiny_segments_match_oracles(segment, monkeypatch):
         assert np.array_equal(np.concatenate(segments), table.primes)
     edges = [2 * segment * k + d for k in (0, 1, 7) for d in (-1, 0, 1)]
     windows = [(-5, 0), (-3, 1), (-2, 2), (0, 2), (1, 2), (2, 2), (-7, 40), (-8, 40)]
-    windows += [(e, e + 2 * segment) for e in edges if e >= 0]
+    # Windows of 2 * segment - 1, 2 * segment and 2 * segment + 1 numbers (a
+    # piece short by one, a full piece, a piece and one more), from even and odd starts.
+    windows += [(e, e + w) for e in edges if e >= 0 for w in range(2 * segment - 2, 2 * segment + 1)]
     windows += [(500, 2999), (2000, limit)]
     for lo, hi in windows:
         expected = bytes(max(0, min(hi, -1) - lo + 1)) + bytes(flags[max(lo, 0) : hi + 1])

@@ -244,7 +244,9 @@ def test_probe_modes_are_reached(mode, outcomes):
         return found
 
     # The probe runs only while 4 windows fit below p, which a set of
-    # 60 never reaches before the prune stops.
+    # 60 never reaches before the prune stops.  The full counts of this
+    # walk (at 3, 5, 7 and 53) hold ties, empty and least-populated, whose
+    # order by class differs from their order by offset residue.
     xs = [210 * x + 1 for x in random.Random(13).sample(range(-300, 300), 200)]
     with probe_factor(mode), pytest.MonkeyPatch.context() as mp:
         mp.setattr(ResidueClasses, "_probe", spy)
